@@ -2,9 +2,16 @@
 
 Times the cold (empty-cache) 3-system default-grid ResNet18 sweep —
 every registered system's `repro sweep` configuration grid in one batch
-— through the three executor strategies:
+— through the executor strategies:
 
-* **serial** — one process, the in-process cache sharing sub-results;
+* **serial** — the reference loop: ``run_job(job, cache)`` per job over
+  one shared in-process cache, so sub-results are shared as they are
+  computed but every *named* layer entry is evaluated.  This is what
+  ``run_jobs(workers=1)`` computed before it became the in-process
+  planner, and it is the naive baseline every gate below is stated
+  against;
+* **planner, 1 worker** — ``run_jobs(workers=1)``: the planner pipeline
+  in-process, streamed job by job, no pool;
 * **whole-job, 4 workers** — the pre-planner executor (``plan=False``):
   each miss job evaluated whole by one worker, results and cache deltas
   shipped per job;
@@ -22,7 +29,10 @@ every registered system's `repro sweep` configuration grid in one batch
   unguarded warm-pool baseline by the pytest entry.
 
 Every mode starts from a fresh in-memory cache and must reproduce the
-serial results bit-for-bit.  The planner's dedup counters are recorded,
+serial results bit-for-bit.  Parallel efficiency — planner@4 throughput
+over planner@1 throughput, reported with the host's CPU count — is
+recorded, not gated: on a host with fewer cores than workers it mostly
+measures pool overhead.  The planner's dedup counters are recorded,
 plus plan-only statistics for the paper's Fig. 4 / Fig. 5 grids (where
 cross-job and repeated-geometry dedup must be non-zero).
 
@@ -35,10 +45,10 @@ so the medians are untouched by instrumentation.
 
 A workers x grid-size **scaling curve** runs first (in the clean
 process, before the mode loop grows the heap that every ephemeral
-fork copies): serial vs planner@4 on synthetic config sweeps of
-72 / 288 / 1008 jobs over a deep (384-entry) network, measuring how
-the planner's advantage compounds with grid size (``BENCH_TIER=small``
-stops at 288 jobs for CI).
+fork copies): serial vs planner@1 vs planner@4 on synthetic config
+sweeps of 72 / 288 / 1008 jobs over a deep (384-entry) network,
+measuring how the planner's advantage compounds with grid size
+(``BENCH_TIER=small`` stops at 288 jobs for CI).
 
 A **cache-scaling** mode times persistence as the on-disk store grows
 1x / 4x / 16x while the per-run dirty delta stays fixed: the legacy
@@ -79,10 +89,10 @@ SCALING_SIZES_FULL = SCALING_SIZES_SMALL + (1008,)
 #: Layer entries in the synthetic network.  Deep networks amortize the
 #: per-config phase-1 cost (two unique layer geometries plus one system
 #: build per configuration) over many assembled entries, which is where
-#: the planner's asymmetry — name-free dedup vs per-name serial
-#: evaluation — pays off hardest: serial pays a full nest analysis per
-#: *named* entry (~200us) while the planner pays only alias derivation
-#: and assembly (~20us), so the ratio climbs with depth.
+#: the planner's asymmetry — name-free dedup vs per-name evaluation in
+#: the reference loop — pays off hardest: serial pays a full nest
+#: analysis per *named* entry (~200us) while the planner pays only alias
+#: derivation and assembly (~20us), so the ratio climbs with depth.
 SCALING_ENTRIES = 384
 
 #: Cache-scaling mode: persistence cost as the *store* grows while the
@@ -104,6 +114,14 @@ def _conftest():
     return module
 
 
+def reference_loop(jobs, cache=None):
+    """The serial baseline: :func:`~repro.engine.run_job` per job over
+    one shared in-process cache (``run_jobs``' keyword interface)."""
+    from repro.engine import run_job
+
+    return [run_job(job, cache) for job in jobs]
+
+
 def _fresh_jobs(network):
     from repro.engine import default_grid_jobs
 
@@ -112,8 +130,11 @@ def _fresh_jobs(network):
     return default_grid_jobs(network)
 
 
-def _timed_run(network, reference, **run_kwargs):
-    """One cold run: fresh jobs + fresh cache; verified bit-identical."""
+def _timed_run(network, reference, runner=None, **run_kwargs):
+    """One cold run: fresh jobs + fresh cache; verified bit-identical.
+
+    ``runner`` defaults to ``run_jobs``; the serial mode passes
+    :func:`reference_loop`."""
     from repro.engine import EvaluationCache, run_jobs
     from repro.engine.codec import network_evaluation_to_dict
 
@@ -123,7 +144,7 @@ def _timed_run(network, reference, **run_kwargs):
     # whichever mode happened to trigger it.
     gc.collect()
     start = time.perf_counter()
-    results = run_jobs(jobs, cache=cache, **run_kwargs)
+    results = (runner or run_jobs)(jobs, cache=cache, **run_kwargs)
     seconds = time.perf_counter() - start
     if reference is not None:
         assert all(
@@ -137,7 +158,7 @@ def synthetic_network(entries: int = SCALING_ENTRIES):
     """A deep synthetic network: ``entries`` conv layers alternating two
     geometries under distinct names (``conv000``, ``conv001``, ...).
 
-    Distinct names are the point: the serial path memoizes per layer
+    Distinct names are the point: the reference loop memoizes per layer
     *name*, so it evaluates every entry, while the planner dedups by
     geometry and derives the siblings by renaming — the same shape
     ResNet18's repeated blocks exhibit, exaggerated to benchmark scale.
@@ -175,7 +196,8 @@ def synthetic_grid_jobs(network, count: int):
 
 
 def _scaling_point(network, count: int, repeats: int) -> dict:
-    """Serial vs planner@WORKERS on a ``count``-job synthetic grid.
+    """Serial vs planner@1 vs planner@WORKERS on a ``count``-job
+    synthetic grid.
 
     Results are spot-checked bit-identical (head and tail of the batch)
     rather than exhaustively — the exhaustive contract lives in the
@@ -189,40 +211,50 @@ def _scaling_point(network, count: int, repeats: int) -> dict:
         return [network_evaluation_to_dict(result)
                 for result in results[:8] + results[-8:]]
 
-    serial_samples, planner_samples = [], []
+    strategies = (
+        ("serial", lambda jobs: reference_loop(jobs, EvaluationCache())),
+        ("planner1", lambda jobs: run_jobs(jobs, workers=1,
+                                           cache=EvaluationCache())),
+        ("planner4", lambda jobs: run_jobs(jobs, workers=WORKERS,
+                                           cache=EvaluationCache())),
+    )
+    samples = {name: [] for name, _run in strategies}
     reference = None
-    for _ in range(repeats):
-        jobs = synthetic_grid_jobs(network, count)
-        gc.collect()
-        start = time.perf_counter()
-        results = run_jobs(jobs, workers=1, cache=EvaluationCache())
-        serial_samples.append(time.perf_counter() - start)
-        if reference is None:
-            reference = sample(results)
-        # Free the previous rep's result set (hundreds of thousands of
-        # objects at 1000 jobs) before the next timed run: keeping it
-        # alive would tax the next run's GC passes and — for the
-        # planner — every fork, biasing whichever strategy runs later.
-        del results, jobs
-    for _ in range(repeats):
-        jobs = synthetic_grid_jobs(network, count)
-        gc.collect()
-        start = time.perf_counter()
-        results = run_jobs(jobs, workers=WORKERS, cache=EvaluationCache())
-        planner_samples.append(time.perf_counter() - start)
-        assert sample(results) == reference, \
-            f"planner diverged from serial at {count} jobs"
-        del results, jobs
-    serial_s = statistics.median(serial_samples)
-    planner_s = statistics.median(planner_samples)
+    # Interleave the strategies within each repeat, rotating which one
+    # leads (the first repeat leads with serial, which sets the
+    # reference), so host-speed drift lands on every strategy alike.
+    for repeat in range(repeats):
+        shift = repeat % len(strategies)
+        for name, run in strategies[shift:] + strategies[:shift]:
+            jobs = synthetic_grid_jobs(network, count)
+            gc.collect()
+            start = time.perf_counter()
+            results = run(jobs)
+            samples[name].append(time.perf_counter() - start)
+            if reference is None:
+                reference = sample(results)
+            assert sample(results) == reference, \
+                f"{name} diverged from serial at {count} jobs"
+            # Free the previous rep's result set (hundreds of thousands
+            # of objects at 1000 jobs) before the next timed run:
+            # keeping it alive would tax the next run's GC passes and —
+            # for the pool — every fork, biasing whichever strategy runs
+            # later.
+            del results, jobs
+    serial_s, planner1_s, planner4_s = (
+        statistics.median(samples[name]) for name, _run in strategies)
     return {
         "jobs": count,
         "entries": len(network.entries),
-        "serial_samples_s": [round(value, 3) for value in serial_samples],
-        "planner4_samples_s": [round(value, 3) for value in planner_samples],
+        "serial_samples_s": [round(v, 3) for v in samples["serial"]],
+        "planner1_samples_s": [round(v, 3) for v in samples["planner1"]],
+        "planner4_samples_s": [round(v, 3) for v in samples["planner4"]],
         "serial_s": round(serial_s, 3),
-        "planner4_s": round(planner_s, 3),
-        "speedup": round(serial_s / planner_s, 2),
+        "planner1_s": round(planner1_s, 3),
+        "planner4_s": round(planner4_s, 3),
+        "speedup": round(serial_s / planner4_s, 2),
+        "speedup_planner1": round(serial_s / planner1_s, 2),
+        "parallel_efficiency": round(planner1_s / planner4_s, 2),
     }
 
 
@@ -233,8 +265,9 @@ def _scaling_curve(sizes) -> dict:
     network = synthetic_network()
     # Untimed warmups: pay module imports and code-object warmup before
     # the first timed sample, once per strategy, on a tiny grid.
-    warmup = synthetic_grid_jobs(network, 2)
-    run_jobs(warmup, workers=1, cache=EvaluationCache())
+    reference_loop(synthetic_grid_jobs(network, 2), EvaluationCache())
+    run_jobs(synthetic_grid_jobs(network, 2), workers=1,
+             cache=EvaluationCache())
     run_jobs(synthetic_grid_jobs(network, 2), workers=WORKERS,
              cache=EvaluationCache())
     points = []
@@ -248,6 +281,7 @@ def _scaling_curve(sizes) -> dict:
         "network": network.name,
         "entries": len(network.entries),
         "workers": WORKERS,
+        "nproc": os.cpu_count(),
         "tier": "small" if sizes == SCALING_SIZES_SMALL else "full",
         "points": points,
     }
@@ -427,7 +461,7 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
     # strategy's first timed sample carries process-cold costs (module
     # imports, code-object warmup, decode memos).  Every timed run is
     # still cache-cold: fresh jobs, fresh EvaluationCache.
-    reference = _timed_run(network, None, workers=1)[1]
+    reference = _timed_run(network, None, runner=reference_loop)[1]
     _timed_run(network, reference, workers=WORKERS)
 
     pool = WorkerPool(WORKERS)
@@ -440,7 +474,8 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         from repro.engine import FailurePolicy
 
         modes = {
-            "serial": {"workers": 1},
+            "serial": {"runner": reference_loop},
+            "planner_workers1": {"workers": 1},
             "wholejob_workers4": {"workers": WORKERS, "plan": False},
             "planner_workers4": {"workers": WORKERS},
             "planner_workers4_warmpool": {"workers": WORKERS,
@@ -489,6 +524,7 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         "benchmark": "cold 3-system default-grid ResNet18 sweep",
         "jobs": len(_fresh_jobs(network)),
         "workers": WORKERS,
+        "nproc": os.cpu_count(),
         "repeats": repeats,
         "timings": timings,
         "planner": planner_stats,
@@ -496,6 +532,14 @@ def run_benchmark(repeats: int = REPEATS) -> dict:
         "speedup_planner_vs_serial": round(
             timings["serial"]["min_s"]
             / timings["planner_workers4"]["min_s"], 2),
+        "speedup_planner1_vs_serial": round(
+            timings["serial"]["min_s"]
+            / timings["planner_workers1"]["min_s"], 2),
+        # planner@4 throughput over planner@1 throughput (recorded, not
+        # gated; see the module docstring).
+        "parallel_efficiency": round(
+            timings["planner_workers1"]["median_s"]
+            / timings["planner_workers4"]["median_s"], 2),
         "speedup_warmpool_vs_serial": round(
             timings["serial"]["median_s"]
             / timings["planner_workers4_warmpool"]["median_s"], 2),
@@ -536,6 +580,11 @@ def _print_report(report: dict) -> None:
           f"{report['speedup_planner_vs_wholejob']:.2f}x")
     print(f"speedup (planner vs serial, workers={report['workers']}): "
           f"{report['speedup_planner_vs_serial']:.2f}x")
+    print(f"speedup (planner vs serial, workers=1): "
+          f"{report['speedup_planner1_vs_serial']:.2f}x")
+    print(f"parallel efficiency (planner@{report['workers']} / planner@1 "
+          f"throughput, nproc={report['nproc']}): "
+          f"{report['parallel_efficiency']:.2f}")
     pool = report["pool"]
     print(f"speedup (warm-pool planner vs serial, median): "
           f"{report['speedup_warmpool_vs_serial']:.2f}x "
@@ -561,8 +610,11 @@ def _print_report(report: dict) -> None:
           f"{scaling['entries']}-entry {scaling['network']}):")
     for point in scaling["points"]:
         print(f"  {point['jobs']:>5} jobs: serial {point['serial_s']:.2f}s, "
+              f"planner@1 {point['planner1_s']:.2f}s, "
               f"planner@{scaling['workers']} {point['planner4_s']:.2f}s "
-              f"-> {point['speedup']:.2f}x")
+              f"-> {point['speedup']:.2f}x (parallel efficiency "
+              f"{point['parallel_efficiency']:.2f}, "
+              f"nproc={scaling['nproc']})")
     cache_scaling = report["cache_scaling"]
     print(f"cache scaling ({cache_scaling['dirty_entries']}-entry dirty "
           f"delta):")

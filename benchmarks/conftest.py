@@ -5,14 +5,16 @@ Each figure benchmark renders its paper-comparable table and both prints it
 benchmark run leaves reviewable artifacts next to the timing numbers.
 Benchmarks that persist machine-readable ``BENCH_*.json`` reports write
 them through :func:`write_bench_json`, which stamps :func:`provenance`
-metadata (git commit, interpreter, platform, UTC timestamp) so a checked-in
-number can always be traced to the tree and machine that produced it.
+metadata (git commit and whether the tree was dirty, CPU count,
+interpreter, platform, UTC timestamp) so a checked-in number can always
+be traced to the tree and machine that produced it.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import os
 import pathlib
 import platform
 import subprocess
@@ -35,10 +37,18 @@ def provenance() -> dict:
             ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
             capture_output=True, text=True, timeout=10,
         ).stdout.strip() or None
+        # Uncommitted changes under src/ or benchmarks/ mean the number
+        # came from the commit *plus* a working-tree diff.
+        dirty = bool(subprocess.run(
+            ["git", "status", "--porcelain", "--", "src", "benchmarks"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
+        ).stdout.strip())
     except (OSError, subprocess.SubprocessError):
-        commit = None
+        commit, dirty = None, None
     return {
         "git_commit": commit,
+        "git_dirty": dirty,
+        "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "timestamp_utc": datetime.datetime.now(

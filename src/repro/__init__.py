@@ -44,8 +44,8 @@ Layer cake (each importable on its own):
   its registry, the three modeled accelerators (Albireo, WDM crossbar,
   WDM delay-buffer), and design-space exploration drivers.
 * :mod:`repro.engine` — the parallel sweep engine: declarative evaluation
-  jobs, a persistent mapping/evaluation cache, and a serial/multiprocess
-  batch executor.
+  jobs, a persistent mapping/evaluation cache, and an
+  in-process/multiprocess batch executor.
 * :mod:`repro.api` — the declarative :class:`Study`/:class:`ResultSet`
   facade over everything below (and the ``repro run spec.json`` CLI).
 * :mod:`repro.obs` — tracing and metrics: hierarchical spans over the

@@ -19,7 +19,8 @@ lattice into :class:`~repro.engine.jobs.EvaluationJob` specs and executes
 them through the existing planner/cache/pool
 (:func:`~repro.engine.executor.run_jobs`) — so every study gains
 process-pool parallelism, persistent memoization, and the two-phase
-scheduler for free, with results bit-identical to serial execution.
+scheduler for free, with results bit-identical to the reference
+evaluator (:func:`~repro.engine.executor.run_job`).
 Execution returns a :class:`~repro.api.results.ResultSet` of tagged
 records.
 
@@ -424,7 +425,8 @@ class Study:
 
         ``workers``/``cache``/``plan`` are the engine's knobs: process
         pool size, persistent :class:`~repro.engine.cache.EvaluationCache`
-        (or directory path), and the two-phase planner toggle.
+        (or directory path), and the parallel strategy (``plan=False``
+        dispatches whole jobs to the pool instead of planner sub-tasks).
 
         ``pool`` reuses a caller-owned persistent
         :class:`~repro.engine.pool.WorkerPool` across runs: its workers

@@ -128,8 +128,8 @@ def _flag_pool(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-plan", action="store_true",
-        help="disable the two-phase sweep scheduler and dispatch whole "
-             "jobs to workers (A/B baseline; results are identical)",
+        help="with --workers > 1, dispatch whole jobs to workers instead "
+             "of planner sub-tasks (A/B baseline; results are identical)",
     )
     parser.add_argument(
         "--keep-pool", action="store_true", dest="keep_pool",
@@ -767,7 +767,7 @@ def _args_serve(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="spawn a persistent N-process worker pool, kept warm "
-             "across submissions (default 1: in-process serial)",
+             "across submissions (default 1: in-process planner)",
     )
     sub.add_argument(
         "--host", default="127.0.0.1", metavar="ADDR",

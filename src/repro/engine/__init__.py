@@ -2,7 +2,7 @@
 
 The engine separates *what* to evaluate from *how*: declarative
 :class:`~repro.engine.jobs.EvaluationJob` specs are generated by sweep
-builders, executed serially or over a ``multiprocessing`` pool by
+builders, executed in-process or over a ``multiprocessing`` pool by
 :func:`~repro.engine.executor.run_jobs`, and memoized — whole-job
 results, mapper searches, and layer evaluations — in an
 :class:`~repro.engine.cache.EvaluationCache` keyed by content hashes and
@@ -23,12 +23,13 @@ Quickstart::
     results = run_jobs(jobs, workers=4, cache=cache)
     print(cache.describe_stats())
 
-Parallel batches are scheduled by :mod:`~repro.engine.planner`: jobs are
+Every batch is scheduled by :mod:`~repro.engine.planner`: jobs are
 expanded into their unique mapper/layer sub-tasks, deduplicated across
-the batch and against the cache, executed in configuration-affine chunks
-(phase 1), and reassembled from the warm cache in the parent (phase 2) —
-bit-identical to serial execution, with the dedup counters reported via
-``cache.planner``.
+the batch and against the cache, computed (phase 1: in-process and job
+by job at ``workers=1``, in configuration-affine chunks over the pool
+otherwise), and reassembled from the warm cache (phase 2) —
+bit-identical to the reference evaluator :func:`run_job`, with the
+dedup counters reported via ``cache.planner``.
 
 Modules:
 
@@ -36,7 +37,7 @@ Modules:
 * :mod:`~repro.engine.cache` — the in-memory + on-disk cache.
 * :mod:`~repro.engine.store` — sharded directory store: locks, LRU, delta IO.
 * :mod:`~repro.engine.planner` — batch expansion, dedup, task chunking.
-* :mod:`~repro.engine.executor` — serial / process-pool batch execution,
+* :mod:`~repro.engine.executor` — in-process / process-pool batch execution,
   retry/quarantine failure policy.
 * :mod:`~repro.engine.pool` — persistent warm worker pool + slim wire codec,
   worker supervision/respawn.

@@ -177,7 +177,7 @@ def energy_to_list(energy: EnergyBreakdown) -> list:
     Entry order is preserved, NOT sorted: ``total_pj`` sums the entries in
     insertion order, and float addition is not associative, so reordering
     would perturb totals in the last ulp — breaking the engine's
-    bit-identical serial/parallel/cached guarantee.
+    bit-identical in-process/pooled/cached guarantee.
     """
     return [
         [component, None if dataspace is None else dataspace.value, value]

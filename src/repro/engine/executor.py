@@ -1,44 +1,53 @@
-"""Batch job execution: serial or multiprocessing, cache-aware, ordered.
+"""Batch job execution: cache-aware, ordered, in-process or pooled.
 
 :func:`run_jobs` is the engine's front door.  It takes a job list (from
 the sweep builders or hand-assembled), consults the cache for finished
-results, computes the misses — serially or across a process pool — and
-returns evaluations in input order.  Parallel execution is verified (see
-``tests/test_engine.py``) to produce bit-identical results to serial
-execution: sub-results ship as JSON dicts whose floats round-trip
-exactly, and ordering is restored by index.
+results, computes the misses, and returns evaluations in input order.
 
-Parallel batches run in two phases by default.  A planner
-(:mod:`repro.engine.planner`) expands the miss jobs into their unique
+Every route computes misses through the planner
+(:mod:`repro.engine.planner`): jobs are expanded into their unique
 mapper-search and layer-evaluation sub-tasks — deduplicated across the
-whole batch and against the cache — and phase 1 executes those over the
-pool in configuration-affine chunks (one system build per chunk, one
-result message per chunk).  Phase 2 then assembles every
-:class:`~repro.model.results.NetworkEvaluation` in the parent from the
-now-warm cache, which is pure lookups.  ``plan=False`` forces the
-pre-planner behavior: each miss job evaluated whole by one worker.
+batch, across same-geometry layers under different names, and against
+the cache — phase 1 computes those, alias derivation copies each
+representative's result under its siblings' names, and assembly builds
+every :class:`~repro.model.results.NetworkEvaluation` from the warm
+cache entries, which is pure lookups.
+
+* ``workers=1`` runs that pipeline in-process, streamed job by job: one
+  incremental :class:`~repro.engine.planner.Planner` keeps the dedup
+  state of the whole batch, each job's *new* sub-tasks are computed
+  right before the job is assembled, and its record is delivered before
+  the next job starts.
+* ``workers>1`` plans the whole batch up front and runs phase 1 over a
+  process pool in configuration-affine chunks (one system build per
+  chunk, one result message per chunk), then assembles in the parent.
+  ``plan=False`` — or a batch holding a system without the planner
+  seams — dispatches whole jobs to the workers instead.
+
+Every route is verified (see ``tests/test_engine.py``) to produce
+records bit-identical to the reference evaluator, :func:`run_job`:
+cached sub-results are the exact serializations the object path would
+produce, and ordering is restored by index.
 
 Worker processes are seeded with a snapshot of the parent's cache, so
 mapper results already on disk are reused everywhere; entries a worker
 computes are shipped back and merged into the parent's cache (and saved,
-when the cache has a directory).  Workers do not see entries produced by
-*other* workers within the same run — the parent is the only writer,
-which keeps the on-disk image race-free; the planner's cross-batch dedup
-is what removes the duplicate work whole-job workers used to repeat.
+when the cache has a directory).  The parent is the only writer, which
+keeps the on-disk image race-free.
 
 When a tracer is active (:mod:`repro.obs`), every phase of this module
-records spans — lookup, planning, snapshot, pool spawn, dispatch, merge,
-assembly — and workers record their own lanes against the parent's clock
-epoch, shipping events back piggybacked on the existing result messages.
-With tracing disabled (the default) the span calls hit the shared no-op
-tracer and the worker messages carry no extra payload.
+records spans — lookup, planning, phase 1, aliases, assembly, and for
+the pool snapshot, spawn, dispatch and merge — and workers record their
+own lanes against the parent's clock epoch, shipping events back
+piggybacked on the existing result messages.  With tracing disabled (the
+default) the span calls hit the shared no-op tracer and the worker
+messages carry no extra payload.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import sys
+import functools
 import time
 from typing import (
     Any,
@@ -59,30 +68,37 @@ from repro.engine.codec import (
     network_evaluation_to_dict,
 )
 from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
-from repro.engine.planner import SweepPlan, build_plan
-from repro.engine.pool import WorkerPool
+from repro.engine.planner import (
+    LayerAlias,
+    Planner,
+    SweepPlan,
+    build_plan,
+    plannable,
+)
+from repro.engine.pool import WorkerPool, pool_context, run_guarded_tasks
 from repro.model.results import (
     EnergyBreakdown,
     NetworkEvaluation,
 )
 
 #: Progress callback: (jobs finished, total jobs, job just worked on).
-#: Under planned parallel execution, phase-1 batch completions also tick
+#: Under pooled planner execution, phase-1 batch completions also tick
 #: the callback — with the finished count unchanged and a job of the
 #: batch's configuration — so long sweeps show liveness before any
-#: whole job is assembled.
+#: whole job is assembled.  The in-process route finishes a job before
+#: starting the next, so it ticks exactly once per job.
 ProgressFn = Callable[[int, int, EvaluationJob], None]
 
 #: Per-record completion callback: ``(index, job, outcome)`` where
 #: ``outcome`` is the job's :class:`~repro.model.results.
 #: NetworkEvaluation` (or a :class:`JobFailure` under a capturing
 #: failure policy).  Invoked exactly once per job — the moment its
-#: result slot is assembled, on every execution path (cache hit, serial,
-#: planned parallel, whole-job parallel, quarantine, final failure) —
-#: in completion order, which is not necessarily input order.  This is
-#: the streaming seam: callers can forward each record while the rest
-#: of the batch is still computing.  An exception raised by the
-#: callback aborts the run (the cooperative-cancellation lever).
+#: result slot is assembled, on every execution path (cache hit,
+#: in-process planner, pooled planner, whole-job parallel, quarantine,
+#: final failure) — in completion order, which is not necessarily input
+#: order.  This is the streaming seam: callers can forward each record
+#: while the rest of the batch is still computing.  An exception raised
+#: by the callback aborts the run (the cooperative-cancellation lever).
 OnRecordFn = Callable[
     [int, EvaluationJob, Union["NetworkEvaluation", "JobFailure"]], None]
 
@@ -120,7 +136,10 @@ class FailurePolicy:
     (:func:`repro.engine.faults.task_deadline`) around every job and
     planner sub-task; a task over the deadline raises
     :class:`~repro.exceptions.TaskTimeoutError`, which then follows the
-    ``on_error`` route like any other failure.
+    ``on_error`` route like any other failure.  The watchdog needs the
+    main thread: pool workers always have it, but an in-process run
+    (``workers=1``, or a one-job retry round) driven from another thread
+    — the service daemon's executor thread — runs without a deadline.
     """
 
     on_error: str = "raise"
@@ -257,6 +276,7 @@ def _init_worker(snapshot: Optional[Dict[str, Dict[str, Any]]],
         obs.activate(obs.Tracer.for_worker(obs_config))
     else:
         obs.deactivate()
+    faults.enter_worker()
 
 
 def _drain_worker_trace() -> Optional[Dict[str, Any]]:
@@ -268,17 +288,16 @@ def _drain_worker_trace() -> Optional[Dict[str, Any]]:
 
 def _guarded_compute(job: EvaluationJob,
                      cache: Optional[EvaluationCache],
-                     guard, attempt: int) -> NetworkEvaluation:
+                     guard: Optional[faults.TaskGuard],
+                     attempt: int) -> NetworkEvaluation:
     """:func:`_compute_job` under the failure-policy guard: arm the
     task-deadline watchdog and consult the fault-injection plan.  With
     ``guard=None`` this is exactly ``_compute_job`` (zero overhead)."""
     if guard is None:
         return _compute_job(job, cache)
-    timeout, _capture, plan_wire = guard
-    plan = faults.FaultPlan.from_wire(plan_wire)
-    with faults.task_deadline(timeout):
-        if plan is not None:
-            plan.check(faults.job_task_key(job), attempt)
+    with faults.task_deadline(guard.timeout):
+        if guard.plan is not None:
+            guard.plan.check(faults.job_task_key(job), attempt)
         return _compute_job(job, cache)
 
 
@@ -293,7 +312,7 @@ def _run_job_in_worker(payload):
         result_dict = network_evaluation_to_dict(
             _guarded_compute(job, cache, guard, attempt))
     except Exception as error:
-        if guard is None or not guard[1]:  # not capturing: fail-stop
+        if guard is None or not guard.capture:  # fail-stop
             raise
         failure = (type(error).__name__, str(error))
     if cache is not None:
@@ -307,19 +326,59 @@ def _run_job_in_worker(payload):
             failure)
 
 
-def _pool_context():
-    """Fork where available (cheap, inherits sys.path); spawn elsewhere."""
-    if sys.platform != "win32":
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover
-            pass
-    return multiprocessing.get_context()  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # Batch execution
 # ---------------------------------------------------------------------------
+
+
+class _Outcomes:
+    """A run's result slots plus the once-per-job callbacks.
+
+    :meth:`settle` is the only place a slot is filled, so every route —
+    cache hit, quarantine, computed record, final failure — fires
+    ``on_record`` and ``progress`` the same way, exactly once.
+    """
+
+    def __init__(self, jobs: List[EvaluationJob],
+                 on_record: Optional[OnRecordFn],
+                 progress: Optional[ProgressFn]) -> None:
+        self.jobs = jobs
+        self.results: List[Optional[Union[NetworkEvaluation,
+                                          JobFailure]]] = [None] * len(jobs)
+        self.done = 0
+        self.on_record = on_record
+        self.progress = progress
+
+    def settle(self, index: int,
+               outcome: Union[NetworkEvaluation, JobFailure]) -> None:
+        self.results[index] = outcome
+        self.done += 1
+        if self.on_record is not None:
+            self.on_record(index, self.jobs[index], outcome)
+        if self.progress is not None:
+            self.progress(self.done, len(self.jobs), self.jobs[index])
+
+    def try_settle(self, index: int,
+                   compute: Callable[[], NetworkEvaluation], capture: bool,
+                   round_failures: Dict[int, Tuple[str, str]]) -> None:
+        """Settle ``index`` with ``compute()``; under a capturing guard a
+        failure lands in ``round_failures`` instead (not final until the
+        retry loop gives up on it, so no callback fires)."""
+        try:
+            outcome = compute()
+        except _SubTaskFailed as failed:
+            # A sub-task this job needs failed under the guard.  Do NOT
+            # fall back to computing the job whole — a timed-out task
+            # would just be recomputed without its budget; route it
+            # through the policy instead.
+            round_failures[index] = (failed.error, failed.message)
+            return
+        except Exception as error:
+            if not capture:
+                raise
+            round_failures[index] = (type(error).__name__, str(error))
+            return
+        self.settle(index, outcome)
 
 
 def run_jobs(
@@ -335,19 +394,20 @@ def run_jobs(
 ) -> List[Union[NetworkEvaluation, JobFailure]]:
     """Evaluate ``jobs``; results come back in input order.
 
-    ``workers=1`` runs in-process.  ``workers>1`` evaluates cache misses
-    over a ``multiprocessing`` pool; results are bit-identical to the
-    serial path.  ``cache`` may be an :class:`EvaluationCache`, a
-    directory path (opened as a sharded store inside it — see
+    ``workers=1`` runs the planner in-process, streamed job by job (see
+    the module docstring).  ``workers>1`` evaluates cache misses over a
+    ``multiprocessing`` pool.  Every route's records are bit-identical
+    to :func:`run_job`'s.  ``cache`` may be an :class:`EvaluationCache`,
+    a directory path (opened as a sharded store inside it — see
     :mod:`repro.engine.store` — safe to share between concurrent
-    processes), or ``None``.
+    processes), or ``None`` (a run-local cache then holds the
+    sub-results).
 
-    ``plan`` controls the parallel strategy: the default (``None`` or
-    ``True``) schedules the batch through the two-phase planner whenever
-    every miss job's system supports it (see module docstring), falling
-    back to whole-job dispatch otherwise; ``plan=False`` forces whole-job
-    dispatch.  Serial execution ignores ``plan`` — the in-process cache
-    already shares sub-results as it goes.
+    ``plan`` only picks the parallel strategy: the default (``None`` or
+    ``True``) schedules the pool through the two-phase planner whenever
+    every miss job's system supports it, falling back to whole-job
+    dispatch otherwise; ``plan=False`` forces whole-job dispatch.  The
+    in-process route ignores it.
 
     ``pool`` (a :class:`~repro.engine.pool.WorkerPool`) keeps the worker
     processes — and their warm architecture builds and cache copies —
@@ -367,18 +427,16 @@ def run_jobs(
 
     ``on_record`` (an :data:`OnRecordFn`) is invoked exactly once per
     job as its outcome slot is assembled — cache hits during lookup,
-    serial completions, parallel phase-2 assembly, whole-job worker
-    returns, quarantine pre-skips, and finalized failures alike — so
-    callers can stream results out while later jobs are still running.
+    computed records, quarantine pre-skips, and finalized failures
+    alike — so callers can stream results out while later jobs are
+    still running.
     """
     cache = _as_cache(cache)
     if pool is not None:
         workers = max(workers, pool.workers)
     jobs = list(jobs)
     total = len(jobs)
-    results: List[Optional[Union[NetworkEvaluation, JobFailure]]] = \
-        [None] * total
-    done = 0
+    outcomes = _Outcomes(jobs, on_record, progress)
 
     policy = failure_policy
     fault_plan = faults.resolve_plan(inject)
@@ -386,30 +444,23 @@ def run_jobs(
     timeout = policy.task_timeout if policy is not None else None
     guard = None
     if capture or timeout or fault_plan:
-        guard = (timeout, capture,
-                 fault_plan.to_wire() if fault_plan else None)
+        guard = faults.TaskGuard(timeout, capture,
+                                 fault_plan if fault_plan else None)
 
     with obs.span("run_jobs", jobs=total, workers=workers) as run_span:
         # Resolve whole-job cache hits up front (counts the hits/misses).
         # Job identity dicts/keys are memoized on the jobs themselves, so
-        # the serial path below never rebuilds the architecture
-        # serialization.
+        # later phases never rebuild the architecture serialization.
         misses: List[int] = []
         with obs.span("run_jobs.lookup", jobs=total):
             for index, job in enumerate(jobs):
-                if cache is None:
-                    misses.append(index)
-                    continue
-                cached = cache.get_result(job.key)
+                cached = (cache.get_result(job.key)
+                          if cache is not None else None)
                 if cached is None:
                     misses.append(index)
                 else:
-                    results[index] = network_evaluation_from_dict(cached)
-                    done += 1
-                    if on_record is not None:
-                        on_record(index, job, results[index])
-                    if progress is not None:
-                        progress(done, total, job)
+                    outcomes.settle(index,
+                                    network_evaluation_from_dict(cached))
         run_span.set("misses", len(misses))
 
         # Coordinates the cache has quarantined as poison are answered
@@ -422,28 +473,21 @@ def run_jobs(
                 if poison is None:
                     screened.append(index)
                     continue
-                results[index] = JobFailure(
+                outcomes.settle(index, JobFailure(
                     error="JobQuarantinedError",
                     message=(f"quarantined after "
                              f"{poison.get('attempts', '?')} failed "
                              f"attempts ({poison.get('error')}: "
                              f"{poison.get('message')})"),
-                    attempts=0, quarantined=True)
-                done += 1
-                if on_record is not None:
-                    on_record(index, jobs[index], results[index])
-                if progress is not None:
-                    progress(done, total, jobs[index])
+                    attempts=0, quarantined=True))
             misses = screened
 
         remaining = misses
         attempt = 0
         while remaining:
             round_failures: Dict[int, Tuple[str, str]] = {}
-            done = _execute_round(jobs, remaining, results, cache,
-                                  workers, progress, plan, pool, done,
-                                  total, guard, attempt, round_failures,
-                                  on_record)
+            _execute_round(jobs, remaining, outcomes, cache, workers,
+                           plan, pool, guard, attempt, round_failures)
             if not round_failures:
                 break
             if cache is not None:
@@ -469,14 +513,9 @@ def run_jobs(
                         })
                         cache.resilience.quarantines += 1
                         quarantined = True
-                    results[index] = JobFailure(
+                    outcomes.settle(index, JobFailure(
                         error=etype, message=message,
-                        attempts=attempt + 1, quarantined=quarantined)
-                    done += 1
-                    if on_record is not None:
-                        on_record(index, jobs[index], results[index])
-                    if progress is not None:
-                        progress(done, total, jobs[index])
+                        attempts=attempt + 1, quarantined=quarantined))
                 break
             delay = policy.backoff * (2 ** attempt)
             if cache is not None:
@@ -491,133 +530,151 @@ def run_jobs(
         if cache is not None and cache.directory is not None \
                 and cache.needs_flush:
             cache.save()
-    return results  # type: ignore[return-value]
+    return outcomes.results  # type: ignore[return-value]
 
 
 def _execute_round(
     jobs: List[EvaluationJob],
     misses: List[int],
-    results: List[Optional[Union[NetworkEvaluation, JobFailure]]],
+    outcomes: _Outcomes,
     cache: Optional[EvaluationCache],
     workers: int,
-    progress: Optional[ProgressFn],
     plan: Optional[bool],
     pool: Optional[WorkerPool],
-    done: int,
-    total: int,
-    guard,
+    guard: Optional[faults.TaskGuard],
     attempt: int,
     round_failures: Dict[int, Tuple[str, str]],
-    on_record: Optional[OnRecordFn] = None,
-) -> int:
+) -> None:
     """One (re)attempt at the given miss indices (see :func:`run_jobs`).
 
-    Picks the same planner / whole-job / serial strategy the pre-policy
-    executor did.  Under a capturing guard, a failing job lands in
+    Picks the route: in-process planner, pooled planner, or whole-job
+    dispatch.  Under a capturing guard a failing job lands in
     ``round_failures`` as ``index -> (error type, message)`` instead of
-    raising; successful jobs fill ``results``, tick ``done``, and fire
-    ``on_record`` (failures do not — they are not final until the retry
-    loop gives up on them).
+    raising; successful jobs are settled in ``outcomes``.
     """
-    capture = guard is not None and guard[1]
-    if workers > 1 and len(misses) > 1:
-        sweep_plan = None
-        work_cache = cache
-        if plan is not False:
-            # The planner needs a cache to dedup against and assemble
-            # from; a cache-less parallel run plans through a
-            # run-local one (discarded afterwards — results are what
-            # matters).
-            work_cache = (cache if cache is not None
-                          else EvaluationCache())
-            sweep_plan = build_plan([jobs[index] for index in misses],
-                                    work_cache, workers)
-        if sweep_plan is not None:
-            on_batch = None
-            if progress is not None:
-                representatives: Dict[str, EvaluationJob] = {}
-                for index in misses:
-                    representatives.setdefault(
-                        job_system_key(jobs[index]), jobs[index])
-                hits_done = done
+    # The planner needs a cache to dedup against and assemble from; a
+    # cache-less run plans through a run-local one (discarded
+    # afterwards — results are what matters, so assembled results are
+    # not stored there and job keys are never derived).
+    work_cache = cache if cache is not None else EvaluationCache()
+    keep_results = cache is not None
+    if workers <= 1 or len(misses) <= 1:
+        _run_in_process(jobs, misses, outcomes, work_cache, guard,
+                        attempt, round_failures, keep_results)
+        return
+    sweep_plan = None
+    if plan is not False:
+        sweep_plan = build_plan([jobs[index] for index in misses],
+                                work_cache, workers)
+    if sweep_plan is None:
+        _run_whole_jobs(jobs, misses, outcomes, cache, workers, guard,
+                        attempt, round_failures)
+        return
+    on_batch = None
+    if outcomes.progress is not None:
+        representatives: Dict[str, EvaluationJob] = {}
+        for index in misses:
+            representatives.setdefault(job_system_key(jobs[index]),
+                                       jobs[index])
+        hits_done = outcomes.done
 
-                def on_batch(batch):
-                    job = representatives.get(batch[0].system_key,
-                                              jobs[misses[0]])
-                    progress(hits_done, total, job)
+        def on_batch(batch):
+            job = representatives.get(batch[0].system_key,
+                                      jobs[misses[0]])
+            outcomes.progress(hits_done, len(jobs), job)
 
-            failed_entries = _execute_phase1(
-                sweep_plan, work_cache, workers, on_batch=on_batch,
-                pool=pool, guard=guard, attempt=attempt)
-            # Phase 2: every sub-result is now warm — assembling the
-            # network evaluations is pure cache lookups, done in the
-            # parent so nothing is shipped twice.
-            fault_plan = (faults.FaultPlan.from_wire(guard[2])
-                          if guard is not None else None)
-            with obs.span("run_jobs.assemble", jobs=len(misses)):
-                recipes: Dict[Tuple, List[Tuple]] = {}
-                for index in misses:
-                    job = jobs[index]
-                    try:
-                        # Job-level injected faults (``...:job`` keys)
-                        # fire on every execution path — here, before
-                        # assembly short-circuits the work.
-                        if fault_plan is not None:
-                            fault_plan.check(faults.job_task_key(job),
-                                             attempt)
-                        result_dict = _assemble_job(job, work_cache,
-                                                    recipes,
-                                                    failed_entries)
-                        if result_dict is not None:
-                            work_cache.put_result(job.key, result_dict)
-                            results[index] = \
-                                network_evaluation_from_dict(result_dict)
-                        else:  # an entry is missing: evaluate normally
-                            results[index] = _guarded_compute(
-                                job, work_cache, guard, attempt)
-                    except _SubTaskFailed as failed:
-                        # A sub-task this job needs failed under the
-                        # guard.  Do NOT fall back to parent-side
-                        # compute — a timed-out task would just be
-                        # recomputed without its budget; route it
-                        # through the policy instead.
-                        round_failures[index] = (failed.error,
-                                                 failed.message)
-                        continue
-                    except Exception as error:
-                        if not capture:
-                            raise
-                        round_failures[index] = \
-                            (type(error).__name__, str(error))
-                        continue
-                    done += 1
-                    if on_record is not None:
-                        on_record(index, job, results[index])
-                    if progress is not None:
-                        progress(done, total, job)
-        else:
-            done = _run_whole_jobs(jobs, misses, results, cache,
-                                   workers, progress, done, total,
-                                   guard, attempt, round_failures,
-                                   on_record)
-    else:
-        with obs.span("run_jobs.serial", jobs=len(misses)):
-            for index in misses:
-                try:
-                    results[index] = _guarded_compute(
-                        jobs[index], cache, guard, attempt)
-                except Exception as error:
-                    if not capture:
-                        raise
-                    round_failures[index] = (type(error).__name__,
-                                             str(error))
-                    continue
-                done += 1
-                if on_record is not None:
-                    on_record(index, jobs[index], results[index])
-                if progress is not None:
-                    progress(done, total, jobs[index])
-    return done
+    failed_entries = _execute_phase1(
+        sweep_plan, work_cache, workers, on_batch=on_batch,
+        pool=pool, guard=guard, attempt=attempt)
+    # Phase 2: every sub-result is now warm — assembling the network
+    # evaluations is pure cache lookups, done in the parent so nothing
+    # is shipped twice.
+    capture = guard is not None and guard.capture
+    with obs.span("run_jobs.assemble", jobs=len(misses)):
+        recipes: Dict[Tuple, List[Tuple]] = {}
+        for index in misses:
+            outcomes.try_settle(index, functools.partial(
+                _assemble_outcome, jobs[index], work_cache, recipes,
+                failed_entries, guard, attempt, keep_results),
+                capture, round_failures)
+
+
+def _run_in_process(
+    jobs: List[EvaluationJob],
+    misses: List[int],
+    outcomes: _Outcomes,
+    cache: EvaluationCache,
+    guard: Optional[faults.TaskGuard],
+    attempt: int,
+    round_failures: Dict[int, Tuple[str, str]],
+    keep_results: bool = True,
+) -> None:
+    """The ``workers=1`` route: the planner pipeline in-process, streamed.
+
+    For each miss job, in input order: fold it into one incremental
+    :class:`~repro.engine.planner.Planner`, compute the sub-tasks it
+    adds (through the same guarded loop pool workers run, on the run's
+    one system build per ``system_key``), derive its aliases, assemble
+    and settle it — so its record is out before the next job's work
+    starts.  A job whose system lacks the planner seams is evaluated
+    whole instead.
+    """
+    planner = Planner(cache)
+    capture = guard is not None and guard.capture
+    failed_entries: Dict[str, Tuple[str, str]] = {}
+    recipes: Dict[Tuple, List[Tuple]] = {}
+    computed = 0
+    try:
+        for index in misses:
+            job = jobs[index]
+            if not plannable((job,)):
+                outcomes.try_settle(index, functools.partial(
+                    _guarded_compute, job, cache, guard, attempt),
+                    capture, round_failures)
+                continue
+            with obs.span("planner.build_plan", jobs=1):
+                tasks, aliases = planner.add(job)
+            system = planner.system(job)
+            if tasks:
+                with obs.span("executor.phase1", tasks=len(tasks)):
+                    run_guarded_tasks(system, job.system,
+                                      job_system_key(job), tasks,
+                                      guard, attempt, failed_entries)
+                computed += len(tasks)
+            if aliases:
+                _derive_aliases(aliases, cache, failed_entries)
+            with obs.span("run_jobs.assemble", jobs=1):
+                outcomes.try_settle(index, functools.partial(
+                    _assemble_outcome, job, cache, recipes,
+                    failed_entries, guard, attempt, keep_results,
+                    system),
+                    capture, round_failures)
+    finally:
+        planner.record(computed, batches=0)
+
+
+def _assemble_outcome(job: EvaluationJob, cache: EvaluationCache,
+                      recipes: Dict[Tuple, List[Tuple]],
+                      failed_entries: Dict[str, Tuple[str, str]],
+                      guard: Optional[faults.TaskGuard], attempt: int,
+                      keep_result: bool = True,
+                      system: Any = None) -> NetworkEvaluation:
+    """One job's record from the warm cache (phase 2 of every planner
+    route), caching the assembled result dict unless ``keep_result`` is
+    off.  Falls back to evaluating the job whole when an entry is
+    missing.  ``system`` is an existing build of the job's system to
+    assemble with (one is made otherwise)."""
+    # Job-level injected faults (``...:job`` keys) fire on every route —
+    # here, before assembly short-circuits the work.
+    if guard is not None and guard.plan is not None:
+        guard.plan.check(faults.job_task_key(job), attempt)
+    result_dict = _assemble_job(job, cache, recipes, failed_entries,
+                                system)
+    if result_dict is None:
+        return _guarded_compute(job, cache, guard, attempt)
+    if keep_result:
+        cache.put_result(job.key, result_dict)
+    return network_evaluation_from_dict(result_dict)
 
 
 def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
@@ -642,6 +699,7 @@ def _assemble_job(
     cache: EvaluationCache,
     recipes: Optional[Dict[Tuple, List[Tuple]]] = None,
     failed_entries: Optional[Dict[str, Tuple[str, str]]] = None,
+    system: Any = None,
 ) -> Optional[Dict[str, Any]]:
     """Build a job's result dict straight from warm layer entries.
 
@@ -658,7 +716,8 @@ def _assemble_job(
 
     ``recipes`` (optional, per-run) memoizes the store-key walk for
     systems whose task keys are configuration-free, so a sweep of many
-    configurations over one network derives the keys once.
+    configurations over one network derives the keys once.  ``system``
+    (optional) is a build of the job's system to reuse.
     """
     from repro.model.accelerator import NetworkOptions
 
@@ -666,7 +725,8 @@ def _assemble_job(
     if not entry.supports_store \
             or not hasattr(entry.system_type, "_layer_store_key"):
         return None
-    system = entry.system_type(job.config)
+    if system is None:
+        system = entry.system_type(job.config)
     if job.fused:
         # Same validation (and failure) the evaluation path applies.
         system.model._check_fusion_capacity(job.network,
@@ -711,7 +771,7 @@ def _execute_phase1(
     workers: int,
     on_batch: Optional[Callable[[Any], None]] = None,
     pool: Optional[WorkerPool] = None,
-    guard=None,
+    guard: Optional[faults.TaskGuard] = None,
     attempt: int = 0,
 ) -> Dict[str, Tuple[str, str]]:
     """Run the plan's unique sub-tasks over a pool; merge results.
@@ -772,13 +832,19 @@ def _execute_phase1(
                                               - respawns_before)
                 if owned:
                     pool.close()
-    # Entries the planner collapsed across layer names: copy the
-    # representative and rename.  A representative that is somehow
-    # missing (its chunk raised before computing it) is simply skipped —
-    # phase 2 computes the alias the ordinary way; if the representative
-    # outright *failed*, its aliases failed with it.
-    with obs.span("executor.aliases", count=len(sweep_plan.aliases)):
-        for alias in sweep_plan.aliases:
+    _derive_aliases(sweep_plan.aliases, cache, failed_entries)
+    return failed_entries
+
+
+def _derive_aliases(aliases: Sequence[LayerAlias], cache: EvaluationCache,
+                    failed_entries: Dict[str, Tuple[str, str]]) -> None:
+    """Entries the planner collapsed across layer names: copy the
+    representative and rename.  A representative that is somehow
+    missing (its chunk raised before computing it) is simply skipped —
+    assembly computes the alias the ordinary way; if the representative
+    outright *failed*, its aliases failed with it."""
+    with obs.span("executor.aliases", count=len(aliases)):
+        for alias in aliases:
             if alias.representative_key in failed_entries:
                 failed_entries[alias.alias_key] = \
                     failed_entries[alias.representative_key]
@@ -790,27 +856,22 @@ def _execute_phase1(
             derived["layer"] = dict(entry["layer"])
             derived["layer"]["name"] = alias.layer_name
             cache.put("layers", alias.alias_key, derived)
-    return failed_entries
 
 
 def _run_whole_jobs(
     jobs: List[EvaluationJob],
     misses: List[int],
-    results: List[Optional[Union[NetworkEvaluation, JobFailure]]],
+    outcomes: _Outcomes,
     cache: Optional[EvaluationCache],
     workers: int,
-    progress: Optional[ProgressFn],
-    done: int,
-    total: int,
-    guard=None,
-    attempt: int = 0,
-    round_failures: Optional[Dict[int, Tuple[str, str]]] = None,
-    on_record: Optional[OnRecordFn] = None,
-) -> int:
+    guard: Optional[faults.TaskGuard],
+    attempt: int,
+    round_failures: Dict[int, Tuple[str, str]],
+) -> None:
     """The pre-planner parallel path: one whole job per worker message."""
     tracer = obs.current_tracer()
     with obs.span("executor.wholejob", jobs=len(misses), workers=workers):
-        context = _pool_context()
+        context = pool_context()
         # Workers only read the mapper/layer namespaces (the parent
         # already resolved whole-job hits), so don't ship them the
         # possibly large results namespace.
@@ -844,16 +905,12 @@ def _run_whole_jobs(
                         if events:
                             tracer.absorb(events)
                         if failure is None:
-                            results[index] = \
+                            evaluation = \
                                 network_evaluation_from_dict(result_dict)
                     if failure is not None:
                         round_failures[index] = failure
                         continue
-                    done += 1
-                    if on_record is not None:
-                        on_record(index, jobs[index], results[index])
-                    if progress is not None:
-                        progress(done, total, jobs[index])
+                    outcomes.settle(index, evaluation)
         except BaseException:
             # A half-finished dispatch leaves workers in an unknown
             # state; kill them rather than let close() wait on them.
@@ -865,4 +922,3 @@ def _run_whole_jobs(
             # SIGTERMing processes that are quietly idle.
             pool.close()
             pool.join()
-    return done

@@ -4,18 +4,27 @@ The resilience layer (worker supervision in :mod:`repro.engine.pool`,
 retry/quarantine policy in :mod:`repro.engine.executor`) needs a test
 substrate that makes failures happen *on demand and deterministically*:
 a :class:`FaultPlan` is a list of :class:`FaultSpec` rules keyed by a
-task-key pattern and an attempt number.  When a worker (or the serial
-executor) is about to compute a matching task on the matching attempt,
-the spec's action fires:
+task-key pattern and an attempt number.  When a pool worker (or the
+in-process route) is about to compute a matching task on the matching
+attempt, the spec's action fires:
 
 * ``"raise"`` — raise :class:`InjectedFault` (an ordinary task error);
 * ``"sleep"`` — sleep ``seconds`` (drives the ``task_timeout`` watchdog);
 * ``"exit"``  — ``os._exit(1)`` (abrupt worker death, atexit skipped);
 * ``"kill"``  — SIGKILL the worker's own pid (the OOM-killer stand-in).
 
+``exit`` and ``kill`` model *worker* deaths, so they only end the
+process inside a pool worker (one marked by :func:`enter_worker`).
+Fired anywhere else — the in-process route at ``workers=1``, or a
+one-job retry round of a pooled run — they raise
+:class:`~repro.exceptions.WorkerCrashError` instead, which follows the
+failure policy like any task error: a CLI or service daemon is never
+killed by its own fault plan.
+
 Task keys are ``"system:layer:kind"`` for planner sub-tasks (``kind`` is
 ``mapper`` or ``layer``) and ``"system:network:job"`` for whole jobs
-(the serial path and parent-side assembly fallback); ``match`` is an
+(checked before assembly on the planner routes, and around whole-job
+evaluation); ``match`` is an
 :func:`fnmatch.fnmatch` pattern over that string, so ``"*:conv1:*"``
 targets one layer everywhere and ``"albireo:*"`` one system.  ``attempt``
 pins the rule to one (re)dispatch attempt — ``0`` fires on the first try
@@ -33,7 +42,10 @@ when a :class:`~repro.engine.executor.FailurePolicy` sets
 ``task_timeout``: a real-time SIGALRM interval timer whose handler
 raises :class:`~repro.exceptions.TaskTimeoutError` — it interrupts pure
 Python and sleeps alike, and is a no-op off the main thread or on
-platforms without ``setitimer``.
+platforms without ``setitimer``.  Pool workers always run tasks on their
+main thread; the in-process route runs on the caller's thread, so a
+``workers=1`` run driven from another thread (the ``repro serve``
+daemon's executor thread) has no watchdog.
 """
 
 from __future__ import annotations
@@ -46,15 +58,35 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.exceptions import ReproError, TaskTimeoutError
+from repro.exceptions import ReproError, TaskTimeoutError, WorkerCrashError
 
 #: Environment variable consulted when no explicit plan is passed:
 #: either a path to a plan JSON file or the inline JSON itself.
 FAULT_PLAN_ENV = "REPRO_INJECT"
 
 _ACTIONS = ("raise", "sleep", "exit", "kill")
+
+# Set by the pool initializers: only a pool worker may really die.
+_IN_WORKER = False
+
+
+def enter_worker() -> None:
+    """Mark this process as a pool worker, where ``exit``/``kill``
+    specs end the process (see the module docstring)."""
+    global _IN_WORKER
+    _IN_WORKER = True
 
 
 class InjectedFault(ReproError):
@@ -88,6 +120,10 @@ class FaultSpec:
         if self.action == "sleep":
             time.sleep(self.seconds)
             return
+        if not _IN_WORKER:
+            raise WorkerCrashError(
+                f"injected {self.action} [{self.match}] outside a pool "
+                f"worker")
         if self.action == "exit":
             os._exit(1)
         os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies
@@ -173,6 +209,17 @@ class FaultPlan:
         return cls.from_json(raw)
 
 
+class TaskGuard(NamedTuple):
+    """The failure-policy context every task runs under: the watchdog
+    deadline, whether errors are captured as data, and the fault plan.
+    Routes pass ``None`` instead when all three are off (the
+    zero-overhead fast path)."""
+
+    timeout: Optional[float]
+    capture: bool
+    plan: Optional[FaultPlan]
+
+
 def resolve_plan(
         inject: Union[None, str, Mapping[str, Any], list, "FaultPlan"],
 ) -> Optional[FaultPlan]:
@@ -207,8 +254,7 @@ def task_deadline(seconds: Optional[float]):
 
     ``None``/``0`` yields unguarded.  Only the process main thread can
     receive SIGALRM; elsewhere the deadline degrades to unguarded rather
-    than failing — worker pools always run tasks on the main thread, so
-    the guard holds exactly where it matters.
+    than failing (pool workers always run tasks on their main thread).
     """
     if (not seconds
             or threading.current_thread() is not threading.main_thread()

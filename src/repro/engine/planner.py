@@ -1,11 +1,11 @@
-"""Layer-grain sweep planning: jobs in, deduplicated task chunks out.
+"""Layer-grain sweep planning: jobs in, deduplicated sub-tasks out.
 
-:func:`run_jobs` parallelizes a batch of whole-network jobs; this module
-turns that batch into a two-phase *work plan* first.  Each job is
-expanded into the sub-tasks its evaluation would memoize through the
-``store`` seam — mapper searches and per-layer evaluations, enumerated
-by :meth:`repro.systems.base.PhotonicSystem.enumerate_sub_tasks` — and
-the expansion is deduplicated three ways:
+Every :func:`~repro.engine.executor.run_jobs` route plans its misses
+here.  Each job is expanded into the sub-tasks its evaluation would
+memoize through the ``store`` seam — mapper searches and per-layer
+evaluations, enumerated by
+:meth:`repro.systems.base.PhotonicSystem.enumerate_sub_tasks` — and the
+expansion is deduplicated three ways:
 
 * **within a job** by store key (repeated fusion-block flag pairs);
 * **across the batch** by :meth:`~repro.systems.base.PhotonicSystem.
@@ -14,18 +14,22 @@ the expansion is deduplicated three ways:
   configuration) compute once and the siblings are derived by renaming;
 * **against the cache**, so warm entries are never re-planned.
 
-The unique remainder is grouped into :class:`TaskChunk` payloads with
+:class:`Planner` holds that dedup state and folds jobs in one at a
+time; the in-process route computes each job's new tasks as soon as it
+is folded in.  :func:`build_plan` folds a whole batch for the pool and
+groups the unique remainder into :class:`TaskChunk` payloads with
 configuration affinity: every task of one ``system_key`` travels in one
 chunk (split at mapper-dependency boundaries only when oversized), so a
 worker builds each architecture/energy table once, shares one system
 instance across the chunk's tasks, and ships all results back in a
-single message.  Phase 2 — reassembling whole-network evaluations from
-the warmed cache — is cheap and runs in the parent
+single message.  Reassembling whole-network evaluations from the warmed
+cache is cheap and runs in the parent
 (:func:`repro.engine.executor.run_jobs`).
 
 Planning never changes what is computed, only where and how often:
-results are bit-identical to the serial path, and whole-job cache keys
-are untouched.
+records are bit-identical to the reference evaluator
+(:func:`~repro.engine.executor.run_job`), and whole-job cache keys are
+untouched.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.cache import EvaluationCache, store_entry_key
+from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
 from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
 
 #: Namespace a sub-task kind persists into.
@@ -112,9 +116,8 @@ _PLANNER_SEAMS = ("enumerate_sub_tasks", "compute_sub_task",
 def plannable(jobs: Sequence[EvaluationJob]) -> bool:
     """Whether every job's system exposes the planner seams (store +
     sub-task enumeration + parent-side assembly).  All
-    :class:`~repro.systems.base.PhotonicSystem` subclasses do; a batch
-    containing any hand-rolled system falls back to whole-job
-    execution."""
+    :class:`~repro.systems.base.PhotonicSystem` subclasses do; a
+    hand-rolled system's jobs are evaluated whole instead."""
     registry = system_registry()
     for job in jobs:
         entry = registry[job.system]
@@ -135,6 +138,115 @@ def _expand_tasks(system: Any,
                 job.network, fused=job.fused, use_mapper=job.use_mapper)]
 
 
+class Planner:
+    """Incremental planning: jobs are folded in one at a time.
+
+    Holds the batch-wide dedup state — representatives, alias keys, the
+    configuration-free expansion memo, one store-bound system build per
+    ``system_key`` and the counters — so :func:`build_plan` (fold every
+    job, then balance) and the executor's in-process route (plan,
+    compute and assemble job by job) share one implementation and dedup
+    identically.  ``groups`` accumulates each ``system_key``'s unique
+    tasks in plan order, tagged with the mapper-dependency clusters
+    :func:`_split` needs.
+    """
+
+    def __init__(self, cache: EvaluationCache) -> None:
+        self.cache = cache
+        self.groups: Dict[str, TaskChunk] = {}
+        # dedup-key -> representative entry key.
+        self.representatives: Dict[Tuple[str, Tuple], str] = {}
+        self.alias_keys = set()
+        # (system class, network identity, fused, use_mapper) ->
+        # [(task, store key, dedup suffix), ...].  Systems declaring
+        # their task keys configuration-free (all built-ins) expand each
+        # network once per batch instead of once per job; the jobs keep
+        # their networks alive, so identity keying is stable here.
+        self.expansions: Dict[Tuple, List[Tuple[Any, Tuple, Tuple]]] = {}
+        self.systems: Dict[str, Any] = {}
+        self.planned = self.deduplicated = self.cache_hits = 0
+
+    def system(self, job: EvaluationJob) -> Any:
+        """The run's one build of ``job``'s system, bound to the cache
+        through its ``system_key`` store scope."""
+        system_key = job_system_key(job)
+        system = self.systems.get(system_key)
+        if system is None:
+            entry = system_registry()[job.system]
+            with obs.span("system.build", system=job.system):
+                system = entry.system_type(
+                    job.config, store=SystemStore(self.cache, system_key))
+            self.systems[system_key] = system
+        return system
+
+    def add(self, job: EvaluationJob) -> Tuple[List[Any], List[LayerAlias]]:
+        """Fold ``job`` in; return its *new* unique sub-tasks (in
+        execution order: mapper searches before their consumers) and the
+        layer entries it adds that derive from a representative by
+        renaming."""
+        system_key = job_system_key(job)
+        system = self.system(job)
+        group = self.groups.get(system_key)
+        if group is None:
+            group = TaskChunk(system=job.system, config=job.config,
+                              system_key=system_key)
+            self.groups[system_key] = group
+        if getattr(system, "subtask_keys_config_free", False):
+            memo_key = (type(system), id(job.network), job.fused,
+                        job.use_mapper)
+            expansion = self.expansions.get(memo_key)
+            if expansion is None:
+                expansion = _expand_tasks(system, job)
+                self.expansions[memo_key] = expansion
+        else:
+            expansion = _expand_tasks(system, job)
+        cache = self.cache
+        representatives = self.representatives
+        alias_keys = self.alias_keys
+        tasks: List[Any] = []
+        aliases: List[LayerAlias] = []
+        for task, store_key, dedup_suffix in expansion:
+            self.planned += 1
+            namespace = _TASK_NAMESPACE[task.kind]
+            entry_key = store_entry_key(system_key, store_key)
+            dedup_key = (system_key, dedup_suffix)
+            known = representatives.get(dedup_key)
+            if known is not None:
+                self.deduplicated += 1
+                if (task.kind == "layer" and known != entry_key
+                        and entry_key not in alias_keys
+                        and not cache.contains(namespace, entry_key)):
+                    # Same geometry under another name: derive after the
+                    # representative is computed instead of recomputing.
+                    alias_keys.add(entry_key)
+                    aliases.append(LayerAlias(
+                        representative_key=known,
+                        alias_key=entry_key,
+                        layer_name=task.layer.name))
+                continue
+            representatives[dedup_key] = entry_key
+            if cache.contains(namespace, entry_key):
+                self.cache_hits += 1
+                continue
+            if task.kind == "mapper" or task.use_mapper:
+                cluster = ("search", system._mapper_store_key(task.layer))
+            else:
+                cluster = ("solo", len(group.tasks))
+            group.tasks.append(task)
+            group.clusters.append(cluster)
+            tasks.append(task)
+        return tasks, aliases
+
+    def record(self, phase1_tasks: int, batches: int) -> None:
+        """Fold this planner's counters into ``cache.planner``."""
+        stats = self.cache.planner
+        stats.planned += self.planned
+        stats.deduplicated += self.deduplicated
+        stats.cache_hits += self.cache_hits
+        stats.phase1_tasks += phase1_tasks
+        stats.batches += batches
+
+
 def build_plan(jobs: Sequence[EvaluationJob],
                cache: EvaluationCache,
                workers: int = 1) -> Optional[SweepPlan]:
@@ -147,89 +259,20 @@ def build_plan(jobs: Sequence[EvaluationJob],
     if not plannable(jobs):
         return None
     with obs.span("planner.build_plan", jobs=len(jobs)) as plan_span:
-        registry = system_registry()
-        groups: Dict[str, TaskChunk] = {}
-        # dedup-key -> (namespace, representative entry key); layer
-        # representatives also remember their store key string so
-        # siblings can be derived by renaming.
-        representatives: Dict[Tuple[str, Tuple], str] = {}
+        planner = Planner(cache)
         aliases: List[LayerAlias] = []
-        alias_keys = set()
-        planned = deduplicated = cache_hits = 0
-        systems: Dict[str, Any] = {}
-        # (system class, network identity, fused, use_mapper) ->
-        # [(task, store key, dedup suffix), ...].  Systems declaring
-        # their task keys configuration-free (all built-ins) expand each
-        # network once per batch instead of once per job; the jobs keep
-        # their networks alive, so identity keying is stable here.
-        expansions: Dict[Tuple, List[Tuple[Any, Tuple, Tuple]]] = {}
-
         with obs.span("planner.expand"):
             for job in jobs:
-                system_key = job_system_key(job)
-                system = systems.get(system_key)
-                if system is None:
-                    entry = registry[job.system]
-                    system = entry.system_type(job.config)
-                    systems[system_key] = system
-                group = groups.get(system_key)
-                if group is None:
-                    group = TaskChunk(system=job.system, config=job.config,
-                                      system_key=system_key)
-                    groups[system_key] = group
-                if getattr(system, "subtask_keys_config_free", False):
-                    memo_key = (type(system), id(job.network), job.fused,
-                                job.use_mapper)
-                    expansion = expansions.get(memo_key)
-                    if expansion is None:
-                        expansion = _expand_tasks(system, job)
-                        expansions[memo_key] = expansion
-                else:
-                    expansion = _expand_tasks(system, job)
-                for task, store_key, dedup_suffix in expansion:
-                    planned += 1
-                    namespace = _TASK_NAMESPACE[task.kind]
-                    entry_key = store_entry_key(system_key, store_key)
-                    dedup_key = (system_key, dedup_suffix)
-                    known = representatives.get(dedup_key)
-                    if known is not None:
-                        deduplicated += 1
-                        if (task.kind == "layer" and known != entry_key
-                                and entry_key not in alias_keys
-                                and not cache.contains(namespace,
-                                                       entry_key)):
-                            # Same geometry under another name: derive
-                            # after phase 1 instead of recomputing.
-                            alias_keys.add(entry_key)
-                            aliases.append(LayerAlias(
-                                representative_key=known,
-                                alias_key=entry_key,
-                                layer_name=task.layer.name))
-                        continue
-                    representatives[dedup_key] = entry_key
-                    if cache.contains(namespace, entry_key):
-                        cache_hits += 1
-                        continue
-                    if task.kind == "mapper" or task.use_mapper:
-                        cluster = ("search",
-                                   system._mapper_store_key(task.layer))
-                    else:
-                        cluster = ("solo", len(group.tasks))
-                    group.tasks.append(task)
-                    group.clusters.append(cluster)
-
+                aliases.extend(planner.add(job)[1])
         with obs.span("planner.balance"):
             batches = _balance(
-                [group for group in groups.values() if group.tasks],
+                [group for group in planner.groups.values() if group.tasks],
                 workers)
-        plan = SweepPlan(batches=batches, aliases=aliases, planned=planned,
-                         deduplicated=deduplicated, cache_hits=cache_hits)
-        stats = cache.planner
-        stats.planned += plan.planned
-        stats.deduplicated += plan.deduplicated
-        stats.cache_hits += plan.cache_hits
-        stats.phase1_tasks += plan.phase1_tasks
-        stats.batches += len(plan.batches)
+        plan = SweepPlan(batches=batches, aliases=aliases,
+                         planned=planner.planned,
+                         deduplicated=planner.deduplicated,
+                         cache_hits=planner.cache_hits)
+        planner.record(plan.phase1_tasks, len(plan.batches))
         for counter in ("planned", "deduplicated", "cache_hits",
                         "phase1_tasks"):
             plan_span.set(counter, getattr(plan, counter))

@@ -32,8 +32,8 @@ path in three ways:
   flags)`` triples, and result messages pack the homogeneous scalar
   metrics of layer evaluations into typed :mod:`array` columns.  The
   decoded entries are reconstructed field-for-field in the canonical
-  codec order, so cached values remain bit-identical to serially
-  computed ones.
+  codec order, so cached values remain bit-identical to in-process
+  ones.
 
 Interrupt safety: any exception while a dispatch is in flight — a
 ``KeyboardInterrupt`` included — terminates and joins the workers before
@@ -74,10 +74,10 @@ from repro.workloads.layer import ConvLayer
 
 _Marker = Tuple[int, Tuple[int, ...]]
 
-#: Per-task guard shipped inside dispatch payloads:
-#: ``(task_timeout_seconds, capture_errors, fault_plan_wire)`` — or
-#: ``None`` for the unguarded fast path (no try/except per task at all).
-_Guard = Optional[Tuple[Optional[float], bool, Optional[list]]]
+#: Per-task guard shipped inside dispatch payloads (see
+#: :class:`~repro.engine.faults.TaskGuard`) — or ``None`` for the
+#: unguarded fast path (no try/except per task at all).
+_Guard = Optional[faults.TaskGuard]
 
 # ---------------------------------------------------------------------------
 # Wire format: slim batch payloads
@@ -142,7 +142,7 @@ def _decode_layers(layer_specs: list) -> List[ConvLayer]:
 # in a residual tuple.  _ENTRY_ORDER is the canonical codec field order
 # (repro.engine.codec.layer_evaluation_to_dict); decoding rebuilds each
 # dict in exactly that order so a pool-computed cache image is
-# indistinguishable from a serial one.
+# indistinguishable from an in-process one.
 _INT_COLUMNS = ("cycles", "real_macs", "padded_macs", "peak_parallelism")
 _RESIDUAL_FIELDS = ("layer", "energy", "occupancy_bits",
                     "compute_cycles", "bandwidth_bound_level")
@@ -259,6 +259,7 @@ def _init_pool_worker(seed: Optional[tuple],
     _WORKER_TOKEN = token
     _WORKER_OBS = None
     obs.deactivate()
+    faults.enter_worker()
 
 
 def _sync_tracing(config: Optional[Tuple[float, int]]) -> None:
@@ -315,19 +316,46 @@ def _apply_sync(sync: Optional[tuple]) -> EvaluationCache:
     return _WORKER_CACHE
 
 
+def run_guarded_tasks(system: Any, system_name: str, system_key: str,
+                      tasks: Iterable[Any], guard: _Guard, attempt: int,
+                      failed: Dict[str, Tuple[str, str]]) -> None:
+    """Compute planner sub-tasks on ``system`` (results land in its store).
+
+    The one per-task loop behind both phase-1 routes — pool workers and
+    the in-process planner — so their failure semantics cannot drift.
+    ``guard`` (see :data:`_Guard`) arms the failure-policy machinery:
+    each task runs under the watchdog deadline and the
+    fault-injection hook, and — when ``capture`` is set — a task
+    exception is recorded in ``failed`` against its store-entry key
+    instead of propagating, so the remaining tasks still run.
+    ``guard=None`` is the zero-overhead fast path.
+    """
+    if guard is None:
+        for task in tasks:
+            system.compute_sub_task(task)
+        return
+    for task in tasks:
+        try:
+            with faults.task_deadline(guard.timeout):
+                if guard.plan is not None:
+                    guard.plan.check(faults.sub_task_key(system_name, task),
+                                     attempt)
+                system.compute_sub_task(task)
+        except Exception as error:
+            if not guard.capture:
+                raise
+            key = store_entry_key(system_key,
+                                  system.sub_task_store_key(task))
+            failed[key] = (type(error).__name__, str(error))
+
+
 def _run_wire_batch(payload):
     """Execute one slim-encoded planner batch; ship packed results back.
 
-    The same contract as the legacy ``_run_batch_in_worker``: each
-    segment's tasks share one (memoized) system build and one store
-    scope, and the whole batch answers in a single message.
-
-    ``guard`` (see :data:`_Guard`) arms the failure-policy machinery:
-    each task runs under the watchdog deadline and the fault-injection
-    hook, and — when ``capture`` is set — a task exception is recorded
-    against its store-entry key in the reply's ``failed`` map instead of
-    aborting the dispatch, so the surviving tasks of the batch still
-    land in the cache.  ``guard=None`` is the zero-overhead fast path.
+    Each segment's tasks share one (memoized) system build and one store
+    scope, run through :func:`run_guarded_tasks`, and the whole batch
+    answers in a single message (``failed`` maps store-entry keys of
+    tasks that failed under a capturing guard).
     """
     from repro.engine.jobs import system_registry
     from repro.systems.base import SubTask
@@ -339,11 +367,6 @@ def _run_wire_batch(payload):
     layers = _decode_layers(layer_specs)
     registry = system_registry()
     failed: Dict[str, Tuple[str, str]] = {}
-    if guard is None:
-        timeout, capture, plan = None, False, None
-    else:
-        timeout, capture, plan_wire = guard
-        plan = faults.FaultPlan.from_wire(plan_wire)
     with obs.span("worker.batch", segments=len(segments),
                   tasks=sum(len(codes) for _index, codes in segments)):
         for context_index, codes in segments:
@@ -352,28 +375,14 @@ def _run_wire_batch(payload):
             with obs.span("system.build", system=system_name):
                 system = entry.system_type(
                     config, store=SystemStore(cache, system_key))
-            for kind_code, layer_id, flags in codes:
-                task = SubTask(
-                    kind=_KIND_NAMES[kind_code],
-                    layer=layers[layer_id],
-                    use_mapper=bool(flags & 1),
-                    input_from_dram=bool(flags & 2),
-                    output_to_dram=bool(flags & 4))
-                if guard is None:
-                    system.compute_sub_task(task)
-                    continue
-                try:
-                    with faults.task_deadline(timeout):
-                        if plan is not None:
-                            plan.check(faults.sub_task_key(system_name,
-                                                           task), attempt)
-                        system.compute_sub_task(task)
-                except Exception as error:
-                    if not capture:
-                        raise
-                    key = store_entry_key(system_key,
-                                          system.sub_task_store_key(task))
-                    failed[key] = (type(error).__name__, str(error))
+            tasks = (SubTask(kind=_KIND_NAMES[kind_code],
+                             layer=layers[layer_id],
+                             use_mapper=bool(flags & 1),
+                             input_from_dram=bool(flags & 2),
+                             output_to_dram=bool(flags & 4))
+                     for kind_code, layer_id, flags in codes)
+            run_guarded_tasks(system, system_name, system_key, tasks,
+                              guard, attempt, failed)
     added = cache.pop_added()
     stats = cache.stats_snapshot()
     cache.reset_stats()
@@ -383,7 +392,7 @@ def _run_wire_batch(payload):
             os.getpid(), _WORKER_MARK, failed)
 
 
-def _pool_context():
+def pool_context():
     """Fork where available (cheap, inherits warm module state)."""
     if sys.platform != "win32":
         try:
@@ -467,8 +476,8 @@ class WorkerPool:
     Workers spawn lazily on the first dispatch and are seeded with the
     cache's full image once; later dispatches ship only the entries
     added since (see the module docstring for the marker protocol).
-    Results are bit-identical to serial execution — the pool only moves
-    cache entries, never recomputes them differently.
+    Results are bit-identical to in-process execution — the pool only
+    moves cache entries, never recomputes them differently.
     """
 
     def __init__(self, workers: int = 4) -> None:
@@ -550,7 +559,7 @@ class WorkerPool:
         else:
             seed, marker = None, None
         with obs.span("executor.pool_spawn", workers=size):
-            self._pool = _pool_context().Pool(
+            self._pool = pool_context().Pool(
                 size, initializer=_init_pool_worker,
                 initargs=(seed, marker, self._token))
         self._pool_size = size

@@ -4,7 +4,7 @@ into Pareto frontiers.
 These functions generate :class:`~repro.engine.jobs.EvaluationJob` lists
 for the paper's exploration axes (the Fig. 5 reuse grid, the Fig. 4
 memory-system grid, generic configuration sweeps) without evaluating
-anything — the executor decides serial/parallel/cached execution.  Each
+anything — the executor decides in-process/pooled/cached execution.  Each
 job carries its sweep coordinates in ``tags`` so callers can reassemble
 results into figure points.
 

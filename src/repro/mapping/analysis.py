@@ -97,6 +97,7 @@ from repro.workloads.dataspace import (
     ALL_DATASPACES,
     DataSpace,
     dataspace_tile_size,
+    in_canonical_order,
     reduction_dims,
     relevant_dims,
 )
@@ -222,9 +223,9 @@ class _StoragePlan:
     def __init__(self, node: StorageLevel, layer: ConvLayer,
                  outermost: Dict[DataSpace, str]) -> None:
         self.name = node.name
-        # list() preserves the frozenset's iteration order, keeping float
-        # accumulation order identical to iterating node.dataspaces.
-        ds_list = list(node.dataspaces)
+        # Canonical order, not the frozenset's hash order: energy rows
+        # and float accumulation follow this list.
+        ds_list = in_canonical_order(node.dataspaces)
         self.ds_widths = [
             (ds, layer.bits_per_weight if ds is DataSpace.WEIGHTS
              else layer.bits_per_activation)
@@ -257,7 +258,8 @@ class _ConverterPlan:
 
     def __init__(self, node: ConverterStage) -> None:
         self.name = node.name
-        self.visits = [(ds, _FLOW_INDEX[ds]) for ds in node.dataspaces]
+        self.visits = [(ds, _FLOW_INDEX[ds])
+                       for ds in in_canonical_order(node.dataspaces)]
 
 
 class SearchContext:

@@ -496,12 +496,17 @@ class Mapper:
         dims relevant to the stored dataspaces, so the search can discover
         stationary dataflows without enumerating every tile size.
         """
+        from repro.workloads.dataspace import in_canonical_order
         from repro.workloads.dataspace import relevant_dims as rdims
 
+        # Canonical dataspace and dim order: both sets iterate in
+        # hash-seed-dependent order, and the fill below follows this one.
         usable: List[Dim] = []
-        for dataspace in storage.dataspaces:
-            for dim in rdims(dataspace):
-                if dim not in usable and leftover.get(dim, 1) > 1:
+        for dataspace in in_canonical_order(storage.dataspaces):
+            relevant = rdims(dataspace)
+            for dim in ALL_DIMS:
+                if (dim in relevant and dim not in usable
+                        and leftover.get(dim, 1) > 1):
                     usable.append(dim)
         options: List[Dict[Dim, int]] = [{}]
         if not usable:

@@ -17,7 +17,7 @@ it changes which tensor element is addressed:
 from __future__ import annotations
 
 from enum import Enum
-from typing import FrozenSet, Mapping, Tuple
+from typing import Collection, FrozenSet, Mapping, Tuple
 
 from repro.workloads.dims import Dim
 
@@ -42,6 +42,18 @@ ALL_DATASPACES: Tuple[DataSpace, ...] = (
     DataSpace.INPUTS,
     DataSpace.OUTPUTS,
 )
+
+
+def in_canonical_order(dataspaces: Collection[DataSpace],
+                       ) -> Tuple[DataSpace, ...]:
+    """``dataspaces`` in :data:`ALL_DATASPACES` order.
+
+    Architecture nodes hold their dataspaces in frozensets, which iterate
+    in string-hash order — it changes with ``PYTHONHASHSEED``.  Code
+    whose output order or float accumulation order follows the iteration
+    walks this instead, so results do not depend on the hash seed.
+    """
+    return tuple(ds for ds in ALL_DATASPACES if ds in dataspaces)
 
 _RELEVANT = {
     DataSpace.WEIGHTS: frozenset({Dim.M, Dim.C, Dim.R, Dim.S}),

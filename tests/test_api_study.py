@@ -10,7 +10,7 @@ import pytest
 from repro.api import Study, comparison_study, config_study, \
     memory_study, reuse_study
 from repro.energy.scaling import AGGRESSIVE, CONSERVATIVE
-from repro.engine import network_evaluation_to_dict
+from repro.engine import network_evaluation_to_dict, run_job
 from repro.exceptions import SpecError, WorkloadError
 from repro.systems import AlbireoConfig, CrossbarConfig
 from repro.workloads import tiny_cnn
@@ -237,6 +237,11 @@ class TestStudyExecution:
         serial = study.run(workers=1)
         parallel = study.run(workers=2, cache=str(tmp_path / "cache"))
         assert len(serial) == 12
+        # Both routes match the reference evaluator, run job by job.
+        reference = [network_evaluation_to_dict(run_job(job))
+                     for job in study.compile()]
+        assert [network_evaluation_to_dict(r.evaluation)
+                for r in serial] == reference
         for left, right in zip(serial, parallel):
             assert left.tags == right.tags
             assert network_evaluation_to_dict(left.evaluation) \

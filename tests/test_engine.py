@@ -71,17 +71,9 @@ def _small_configs(count=4):
 
 
 def _evaluations_identical(a, b):
-    """Bit-exact equality of two network evaluations."""
-    if (a.name != b.name or a.clock_ghz != b.clock_ghz
-            or a.peak_parallelism != b.peak_parallelism
-            or len(a.layers) != len(b.layers)):
-        return False
-    for (eval_a, count_a), (eval_b, count_b) in zip(a.layers, b.layers):
-        if count_a != count_b or eval_a.cycles != eval_b.cycles:
-            return False
-        if eval_a.energy.entries() != eval_b.energy.entries():
-            return False
-    return True
+    """Bit-exact equality of two network evaluations (every serialized
+    field, layer names and energy row order included)."""
+    return network_evaluation_to_dict(a) == network_evaluation_to_dict(b)
 
 
 class TestJobs:
@@ -341,7 +333,7 @@ class TestExecutor:
             output_reuse_values=(3, 9), input_reuse_values=(9, 27),
             weight_lane_variants=(("Original", 1),),
         )
-        serial = run_jobs(jobs, workers=1)
+        serial = [run_job(job) for job in jobs]  # the reference loop
         parallel = run_jobs(jobs, workers=4)
         assert len(serial) == len(parallel) == len(jobs)
         for a, b in zip(serial, parallel):
@@ -367,7 +359,7 @@ class TestExecutor:
         # Pre-warm only the middle jobs so hits and misses interleave.
         run_jobs(jobs[1:3], cache=cache)
         mixed = run_jobs(jobs, cache=cache)
-        uncached = run_jobs(jobs)
+        uncached = [run_job(job) for job in jobs]
         for a, b in zip(mixed, uncached):
             assert _evaluations_identical(a, b)
 
@@ -463,7 +455,7 @@ class TestPlanner:
         jobs = [make_job(network, config, include_dram=include_dram)
                 for config in _small_configs(2)
                 for include_dram in (True, False)]
-        serial = run_jobs(jobs)
+        serial = [run_job(job) for job in jobs]  # the reference loop
         cache = EvaluationCache()
         parallel = run_jobs(jobs, workers=2, cache=cache)
         assert cache.planner.deduplicated > 0
@@ -497,7 +489,7 @@ class TestPlanner:
         cache = EvaluationCache()
         results = run_jobs(jobs, workers=2, cache=cache, plan=False)
         assert cache.planner.planned == 0
-        uncached = run_jobs(jobs)
+        uncached = [run_job(job) for job in jobs]
         for a, b in zip(results, uncached):
             assert _evaluations_identical(a, b)
 

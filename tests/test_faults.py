@@ -39,7 +39,8 @@ def _study():
             .grid(global_buffer_kib=[512, 1024]))
 
 
-#: Sub-task-level fault: fires inside pool workers (parallel paths).
+#: Sub-task-level fault: fires wherever planner sub-tasks are computed
+#: (pool workers, and the in-process route at workers=1).
 RAISE_ALBIREO_CONV1 = [{"match": "albireo:conv1:layer",
                         "action": "raise", "attempt": -1}]
 
@@ -273,6 +274,55 @@ class TestRetryPolicy:
             [r.metrics for r in reference]
         assert cache.resilience.timeouts > 0
         assert cache.resilience.retries > 0
+
+
+class TestCrashSpecsOutsideWorkers:
+    """``exit``/``kill`` specs end only pool workers; fired in the
+    calling process they raise ``WorkerCrashError`` instead."""
+
+    @pytest.mark.parametrize("action", ["exit", "kill"])
+    def test_crash_spec_raises_in_process(self, action):
+        crash = [{"match": "albireo:conv1:layer", "action": action,
+                  "attempt": -1}]
+        with pytest.raises(WorkerCrashError, match="outside a pool"):
+            _study().run(workers=1, inject=crash)
+        skipped = _study().run(
+            workers=1, failure_policy=FailurePolicy(on_error="skip"),
+            inject=crash)
+        assert {record.error for record in skipped.failures} == \
+            {"WorkerCrashError"}
+        assert len(skipped.ok()) == 2
+
+    def test_one_miss_retry_round_of_a_pooled_run(self):
+        """At workers=2 a retry round left with one miss runs in-process;
+        a kill spec pinned to that attempt fails the job instead of
+        killing the caller, and the next attempt heals it."""
+        def study():
+            return Study().systems("albireo", "crossbar").networks("tiny")
+
+        faults = [{"match": "crossbar:*:layer", "action": "raise",
+                   "attempt": 0},
+                  {"match": "crossbar:*:layer", "action": "kill",
+                   "attempt": 1}]
+        cache = EvaluationCache()
+        healed = study().run(
+            workers=2, cache=cache,
+            failure_policy=FailurePolicy(on_error="retry", max_retries=2,
+                                         backoff=0.0),
+            inject=faults)
+        assert not healed.failures
+        assert [r.metrics for r in healed] == \
+            [r.metrics for r in study().run()]
+        assert cache.resilience.retries == 2
+
+        exhausted = study().run(
+            workers=2, cache=EvaluationCache(),
+            failure_policy=FailurePolicy(on_error="retry", max_retries=1,
+                                         backoff=0.0),
+            inject=faults)
+        [failure] = exhausted.failures
+        assert failure.error == "WorkerCrashError"
+        assert failure.attempts == 2 and failure.quarantined
 
 
 class TestPartialResults:

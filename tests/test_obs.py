@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import Study, obs
+from repro.engine import network_evaluation_to_dict, run_job
 from repro.obs import (
     CHROME_REQUIRED_KEYS,
     NULL_TRACER,
@@ -203,8 +204,12 @@ class TestEngineTracing:
             parallel = _two_job_study().run(workers=2)
         parallel_names = tracer.trace().span_names()
         assert serial.to_records() == parallel.to_records()
+        reference = [network_evaluation_to_dict(run_job(job))
+                     for job in _two_job_study().compile()]
+        assert [network_evaluation_to_dict(record.evaluation)
+                for record in serial] == reference
         # The compute-path spans appear in both timelines; dispatch
-        # machinery differs by design (serial has no pool/planner).
+        # machinery differs by design (the in-process route has no pool).
         compute = {"layer.evaluate", "system.build", "run_jobs"}
         assert compute <= serial_names
         assert compute <= parallel_names
@@ -272,6 +277,19 @@ class TestStudyTrace:
         results = _two_job_study().run(trace=tracer)
         assert results.trace is not None
         assert results.trace.span_names() <= tracer.trace().span_names()
+
+    def test_in_process_run_traces_the_planner_phases(self):
+        """``workers=1`` runs the planner in-process: the trace names
+        its phases, attributes nearly all of the main lane, and holds no
+        trace of the retired serial loop."""
+        results = (Study().systems("albireo").networks("resnet18")
+                   .grid(clusters=[4, 8]).run(workers=1, trace=True))
+        trace = results.trace
+        assert trace.main_lane_coverage() >= 0.9
+        names = trace.span_names()
+        assert {"planner.build_plan", "executor.phase1",
+                "executor.aliases", "run_jobs.assemble"} <= names
+        assert "run_jobs.serial" not in names
 
     def test_equal_records_compare_equal_regardless_of_trace(self):
         plain = _two_job_study().run()

@@ -20,6 +20,7 @@ from repro.engine import (
     config_sweep_jobs,
     grid_jobs,
     parameter_grid,
+    run_job,
     run_jobs,
 )
 from repro.engine.codec import network_evaluation_to_dict
@@ -53,6 +54,11 @@ def _dicts(evaluations):
     return [network_evaluation_to_dict(e) for e in evaluations]
 
 
+def _reference(jobs):
+    """The reference evaluator's records (independent of the planner)."""
+    return _dicts([run_job(job) for job in jobs])
+
+
 def _no_orphans():
     """True when no worker processes linger (after a short grace)."""
     for _ in range(50):
@@ -67,8 +73,8 @@ class TestPoolReuse:
         """A reused pool spawns once, delta-syncs later dispatches, and
         stays bit-identical to serial execution."""
         jobs_a, jobs_b = _grid_a(small_network), _grid_b(small_network)
-        serial_a = _dicts(run_jobs(jobs_a, workers=1))
-        serial_b = _dicts(run_jobs(jobs_b, workers=1))
+        serial_a = _reference(jobs_a)
+        serial_b = _reference(jobs_b)
         cache = EvaluationCache()
         with WorkerPool(workers=2) as pool:
             warm_a = _dicts(run_jobs(jobs_a, workers=2, cache=cache,
@@ -92,7 +98,7 @@ class TestPoolReuse:
         warm copies, reseeds them in-band — without respawning the
         worker processes — and still computes correct results."""
         jobs = _grid_a(small_network)
-        serial = _dicts(run_jobs(jobs, workers=1))
+        serial = _reference(jobs)
         cache = EvaluationCache()
         with WorkerPool(workers=2) as pool:
             first = _dicts(run_jobs(jobs, workers=2, cache=cache,
@@ -121,7 +127,7 @@ class TestPoolReuse:
                                                           small_network):
         """Passing a pool without ``workers=`` still runs parallel."""
         jobs = _grid_a(small_network)
-        serial = _dicts(run_jobs(jobs, workers=1))
+        serial = _reference(jobs)
         with WorkerPool(workers=2) as pool:
             pooled = _dicts(run_jobs(jobs, cache=EvaluationCache(),
                                      pool=pool))
@@ -150,7 +156,7 @@ class TestInterruptSafety:
             fresh_cache = EvaluationCache()
             results = _dicts(run_jobs(jobs, workers=2, cache=fresh_cache,
                                       pool=pool))
-            assert results == _dicts(run_jobs(jobs, workers=1))
+            assert results == _reference(jobs)
             assert pool.stats.spawns == 2
         finally:
             pool.close()
@@ -258,7 +264,9 @@ class TestStudyIntegration:
         assert pool.stats.spawns == 1
         assert pool.stats.dispatches >= 1
         assert [r.tags for r in first] == [r.tags for r in baseline]
-        for warm in (first, second):
+        reference = _reference(build().compile())
+        for warm in (baseline, first, second):
+            assert _dicts([r.evaluation for r in warm]) == reference
             for got, want in zip(warm, baseline):
                 assert got.metrics == want.metrics
 
@@ -274,7 +282,7 @@ class TestSupervision:
         detected by the supervised result wait; the pool respawns once
         and the sweep still matches serial execution bit for bit."""
         jobs = _grid_b(small_network)
-        serial = _dicts(run_jobs(jobs, workers=1))
+        serial = _reference(jobs)
         cache = EvaluationCache()
         kill = [{"match": "albireo:conv2:layer", "action": "kill",
                  "attempt": 0}]
@@ -292,8 +300,7 @@ class TestSupervision:
             # The pool stays reusable after the recovery.
             again = _dicts(run_jobs(_grid_a(small_network), workers=2,
                                     cache=cache, pool=pool))
-            assert again == _dicts(run_jobs(_grid_a(small_network),
-                                            workers=1))
+            assert again == _reference(_grid_a(small_network))
             assert pool.stats.respawns == 1
         assert cache.resilience.respawns == 1
         assert _no_orphans()
@@ -318,7 +325,7 @@ class TestSupervision:
             # the storm respawns and succeeds.
             clean = _dicts(run_jobs(jobs, workers=2,
                                     cache=EvaluationCache(), pool=pool))
-            assert clean == _dicts(run_jobs(jobs, workers=1))
+            assert clean == _reference(jobs)
         finally:
             pool.close()
         assert _no_orphans()
@@ -327,7 +334,7 @@ class TestSupervision:
         """``os._exit(1)`` (atexit handlers skipped) looks identical to
         a SIGKILL from the parent's side and recovers the same way."""
         jobs = _grid_a(small_network)
-        serial = _dicts(run_jobs(jobs, workers=1))
+        serial = _reference(jobs)
         exit_once = [{"match": "albireo:conv2:layer", "action": "exit",
                       "attempt": 0}]
         with WorkerPool(workers=2) as pool:
