@@ -82,7 +82,24 @@ class Record:
     def from_evaluation(cls, tags: Mapping[str, Any],
                         evaluation: NetworkEvaluation,
                         config: Any = None) -> "Record":
-        metrics = {name: getattr(evaluation, name) for name in METRIC_NAMES}
+        """A record of ``evaluation``'s :data:`METRIC_NAMES` metrics.
+
+        One :meth:`~repro.model.results.NetworkEvaluation.totals` pass
+        yields the energy, MAC and cycle totals; the seven metrics are
+        derived from them with the same arithmetic as the evaluation's
+        properties, so they are bit-identical to reading each property.
+        """
+        energy, macs, cycles = evaluation.totals()
+        energy_pj = energy.total_pj
+        metrics = {
+            "energy_per_mac_pj": energy_pj / macs,
+            "energy_pj": energy_pj,
+            "latency_ns": cycles / evaluation.clock_ghz,
+            "macs_per_cycle": macs / cycles,
+            "utilization": macs / (cycles * evaluation.peak_parallelism),
+            "total_macs": macs,
+            "total_cycles": cycles,
+        }
         return cls(tags=dict(tags), metrics=metrics,
                    evaluation=evaluation, config=config)
 

@@ -454,54 +454,51 @@ class Study:
         in completion order, on every execution path — without waiting
         for the full :class:`ResultSet`.  This is the seam the
         evaluation service uses to stream NDJSON records and the CLI
-        uses for ``--progress`` lines.
+        uses for ``--progress`` lines.  Each job's record is built once:
+        the returned :class:`ResultSet` holds the very objects passed
+        to ``on_record`` (failures included), in lattice order.
         """
+        engine = dict(workers=workers, cache=cache, progress=progress,
+                      plan=plan, pool=pool, failure_policy=failure_policy,
+                      inject=inject)
         if trace is None or trace is False:
-            jobs = self.compile()
-            evaluations = run_jobs(jobs, workers=workers, cache=cache,
-                                   progress=progress, plan=plan, pool=pool,
-                                   failure_policy=failure_policy,
-                                   inject=inject,
-                                   on_record=self._stream_adapter(
-                                       jobs, on_record))
-            return ResultSet(
-                self._record(job, evaluation)
-                for job, evaluation in zip(jobs, evaluations))
+            return self._execute(self.compile(), on_record, engine)
         tracer = trace if isinstance(trace, obs.Tracer) else obs.Tracer()
         with obs.tracing(tracer):
             with obs.span("study.compile", study=self.name):
                 jobs = self.compile()
-            evaluations = run_jobs(jobs, workers=workers, cache=cache,
-                                   progress=progress, plan=plan, pool=pool,
-                                   failure_policy=failure_policy,
-                                   inject=inject,
-                                   on_record=self._stream_adapter(
-                                       jobs, on_record))
+            results = self._execute(jobs, on_record, engine)
         collected = tracer.trace()
         if isinstance(trace, str):
             collected.save(trace)
+        results.trace = collected
+        return results
+
+    def _execute(self, jobs: List[EvaluationJob],
+                 on_record: Optional[RecordFn],
+                 engine: Dict[str, Any]) -> ResultSet:
+        """Run ``jobs`` through the engine; one :class:`Record` per job.
+
+        With ``on_record`` set, each outcome becomes a record the moment
+        its slot is settled; that very object is streamed and kept by
+        job index, and the result set is built from those objects —
+        records are only built here for slots that were never streamed.
+        """
+        streamed: List[Optional[Record]] = [None] * len(jobs)
+        emit = None
+        if on_record is not None:
+            total = len(jobs)
+            completed = [0]
+
+            def emit(index: int, job: EvaluationJob, outcome: Any) -> None:
+                completed[0] += 1
+                record = streamed[index] = self._record(job, outcome)
+                on_record(record, completed[0], total)
+
+        evaluations = run_jobs(jobs, on_record=emit, **engine)
         return ResultSet(
-            (self._record(job, evaluation)
-             for job, evaluation in zip(jobs, evaluations)),
-            trace=collected)
-
-    def _stream_adapter(self, jobs: Sequence[EvaluationJob],
-                        on_record: Optional[RecordFn]):
-        """The engine-level ``on_record`` callback wrapping a study-level
-        :data:`RecordFn`: turns each ``(index, job, outcome)`` completion
-        into the same :class:`Record` the final result set will hold and
-        counts completions (``None`` passes straight through, keeping
-        the un-streamed path zero-cost)."""
-        if on_record is None:
-            return None
-        total = len(jobs)
-        completed = [0]
-
-        def emit(index: int, job: EvaluationJob, outcome: Any) -> None:
-            completed[0] += 1
-            on_record(self._record(job, outcome), completed[0], total)
-
-        return emit
+            record if record is not None else self._record(job, evaluation)
+            for record, job, evaluation in zip(streamed, jobs, evaluations))
 
     @staticmethod
     def _record(job: EvaluationJob, evaluation: Any) -> Record:

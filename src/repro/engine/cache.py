@@ -62,6 +62,18 @@ def _store_key_json(store_key: Tuple) -> str:
     return canonical_json(list(store_key))
 
 
+def store_key_suffix(store_key: Iterable[Any]) -> str:
+    """The configuration-free tail of :func:`store_entry_key`: callers
+    that derive many entry keys for one store key under different
+    system keys render it once and concatenate."""
+    if type(store_key) is tuple:
+        try:
+            return "/" + _store_key_json(store_key)
+        except TypeError:  # unhashable member: render directly
+            pass
+    return "/" + canonical_json(list(store_key))
+
+
 def store_entry_key(system_key: str, store_key: Iterable[Any]) -> str:
     """The cache-entry key a :class:`SystemStore` lookup resolves to.
 
@@ -73,12 +85,7 @@ def store_entry_key(system_key: str, store_key: Iterable[Any]) -> str:
     thousand-config sweep renders each layer's suffix once, not once
     per configuration.
     """
-    if type(store_key) is tuple:
-        try:
-            return system_key + "/" + _store_key_json(store_key)
-        except TypeError:  # unhashable member: render directly
-            pass
-    return system_key + "/" + canonical_json(list(store_key))
+    return system_key + store_key_suffix(store_key)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Mapping as TMapping
+from typing import Any, Dict, Mapping as TMapping, Optional
 
 from repro.energy.scaling import ScalingScenario
 from repro.model.results import (
@@ -243,19 +243,43 @@ def layer_evaluation_to_dict(evaluation: LayerEvaluation) -> Dict[str, Any]:
     }
 
 
+#: Stand-in for an absent ``occupancy_bits`` (one object, so its id is a
+#: stable ``shared`` key).
+_NO_OCCUPANCY: Dict[str, Any] = {}
+
+
 def layer_evaluation_from_dict(
-        spec: TMapping[str, Any]) -> LayerEvaluation:
-    """Rebuild a layer evaluation from its dict form."""
+        spec: TMapping[str, Any],
+        shared: Optional[Dict[int, Any]] = None) -> LayerEvaluation:
+    """Rebuild a layer evaluation from its dict form.
+
+    ``shared`` (optional) maps ``id()`` of an already decoded nested
+    ``energy`` rows list or ``occupancy_bits`` dict to its decoded
+    object: specs holding the *same* nested object (an alias entry and
+    its representative) then share one decoded breakdown and occupancy
+    map.  The caller keeps every keyed spec alive while the map is in
+    use, so the ids cannot be reused.
+    """
+    if shared is None:
+        shared = {}
+    rows = spec["energy"]
+    energy = shared.get(id(rows))
+    if energy is None:
+        energy = shared[id(rows)] = energy_from_list(rows)
+    occupancy = spec.get("occupancy_bits", _NO_OCCUPANCY)
+    occupancy_bits = shared.get(id(occupancy))
+    if occupancy_bits is None:
+        occupancy_bits = shared[id(occupancy)] = {
+            str(k): float(v) for k, v in occupancy.items()}
     return LayerEvaluation(
         layer=layer_from_dict(spec["layer"]),
-        energy=energy_from_list(spec["energy"]),
+        energy=energy,
         cycles=int(spec["cycles"]),
         real_macs=int(spec["real_macs"]),
         padded_macs=int(spec["padded_macs"]),
         peak_parallelism=int(spec["peak_parallelism"]),
         clock_ghz=float(spec["clock_ghz"]),
-        occupancy_bits={str(k): float(v)
-                        for k, v in spec.get("occupancy_bits", {}).items()},
+        occupancy_bits=occupancy_bits,
         compute_cycles=(None if spec.get("compute_cycles") is None
                         else int(spec["compute_cycles"])),
         bandwidth_bound_level=spec.get("bandwidth_bound_level"),
@@ -278,9 +302,17 @@ def network_evaluation_to_dict(
 
 def network_evaluation_from_dict(
         spec: TMapping[str, Any]) -> NetworkEvaluation:
-    """Rebuild a network evaluation from its dict form."""
+    """Rebuild a network evaluation from its dict form.
+
+    Each distinct nested ``energy`` rows list and ``occupancy_bits``
+    dict is decoded once per network: layer entries that hold the same
+    nested objects (the planner's alias entries share them with their
+    representative) get the same decoded
+    :class:`~repro.model.results.EnergyBreakdown` and occupancy map.
+    """
+    shared: Dict[int, Any] = {}
     layers = tuple(
-        (layer_evaluation_from_dict(layer_spec), int(count))
+        (layer_evaluation_from_dict(layer_spec, shared), int(count))
         for layer_spec, count in spec["layers"]
     )
     return NetworkEvaluation(

@@ -62,7 +62,7 @@ from typing import (
 
 from repro import obs
 from repro.engine import faults
-from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
+from repro.engine.cache import EvaluationCache, SystemStore, store_key_suffix
 from repro.engine.codec import (
     network_evaluation_from_dict,
     network_evaluation_to_dict,
@@ -678,8 +678,9 @@ def _assemble_outcome(job: EvaluationJob, cache: EvaluationCache,
 
 
 def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
-    """The (store key, count) sequence assembling ``job`` looks up —
-    the same fusion-block walk :meth:`evaluate_network` performs."""
+    """The (entry-key suffix, count) sequence assembling ``job`` looks
+    up — the same fusion-block walk :meth:`evaluate_network` performs
+    (see :func:`~repro.engine.cache.store_key_suffix`)."""
     from repro.model.accelerator import fusion_blocks
 
     network_entries = job.network.entries
@@ -688,9 +689,9 @@ def _assembly_recipe(system: Any, job: EvaluationJob) -> List[Tuple]:
         is_last = index == len(network_entries) - 1
         for input_dram, output_dram, count in fusion_blocks(
                 network_entry, is_last, job.fused):
-            recipe.append((system._layer_store_key(
+            recipe.append((store_key_suffix(system._layer_store_key(
                 network_entry.layer, job.use_mapper,
-                input_dram, output_dram), count))
+                input_dram, output_dram)), count))
     return recipe
 
 
@@ -743,19 +744,26 @@ def _assemble_job(
         recipe = _assembly_recipe(system, job)
         if memo_key is not None:
             recipes[memo_key] = recipe
+    peek = cache.peek
+    # id(energy rows) -> DRAM-free rows: entries sharing a rows list
+    # (aliases and their representative) keep sharing the filtered one.
+    stripped: Dict[int, list] = {}
     layers = []
-    for store_key, count in recipe:
-        key = store_entry_key(system_key, store_key)
-        layer_dict = cache.peek("layers", key)
+    for key_suffix, count in recipe:
+        key = system_key + key_suffix
+        layer_dict = peek("layers", key)
         if layer_dict is None:
             if failed_entries and key in failed_entries:
                 raise _SubTaskFailed(*failed_entries[key])
             return None
         if not job.include_dram:
+            rows = layer_dict["energy"]
+            kept = stripped.get(id(rows))
+            if kept is None:
+                kept = stripped[id(rows)] = [
+                    row for row in rows if row[0] != "DRAM"]
             layer_dict = dict(layer_dict)
-            layer_dict["energy"] = [
-                row for row in layer_dict["energy"] if row[0] != "DRAM"
-            ]
+            layer_dict["energy"] = kept
         layers.append([layer_dict, count])
     return {
         "name": job.network.name,
@@ -843,19 +851,22 @@ def _derive_aliases(aliases: Sequence[LayerAlias], cache: EvaluationCache,
     missing (its chunk raised before computing it) is simply skipped —
     assembly computes the alias the ordinary way; if the representative
     outright *failed*, its aliases failed with it."""
+    peek, put = cache.peek, cache.put
     with obs.span("executor.aliases", count=len(aliases)):
-        for alias in aliases:
-            if alias.representative_key in failed_entries:
-                failed_entries[alias.alias_key] = \
-                    failed_entries[alias.representative_key]
+        for representative_key, alias_key, layer_name in aliases:
+            if failed_entries and representative_key in failed_entries:
+                failed_entries[alias_key] = failed_entries[representative_key]
                 continue
-            entry = cache.peek("layers", alias.representative_key)
+            entry = peek("layers", representative_key)
             if entry is None:
                 continue
+            # Shallow: the derived entry shares every nested object
+            # (energy rows, occupancy) with its representative but the
+            # renamed layer dict.
             derived = dict(entry)
-            derived["layer"] = dict(entry["layer"])
-            derived["layer"]["name"] = alias.layer_name
-            cache.put("layers", alias.alias_key, derived)
+            derived["layer"] = layer = dict(entry["layer"])
+            layer["name"] = layer_name
+            put("layers", alias_key, derived)
 
 
 def _run_whole_jobs(

@@ -36,18 +36,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.cache import EvaluationCache, SystemStore, store_entry_key
+from repro.engine.cache import EvaluationCache, SystemStore, store_key_suffix
 from repro.engine.jobs import EvaluationJob, job_system_key, system_registry
 
 #: Namespace a sub-task kind persists into.
 _TASK_NAMESPACE = {"mapper": "mappings", "layer": "layers"}
 
 
-@dataclass(frozen=True)
-class LayerAlias:
+class LayerAlias(NamedTuple):
     """A layer entry derivable from a same-geometry representative by
     renaming (``entry["layer"]["name"]`` is the only difference)."""
 
@@ -130,9 +129,12 @@ def plannable(jobs: Sequence[EvaluationJob]) -> bool:
 
 
 def _expand_tasks(system: Any,
-                  job: EvaluationJob) -> List[Tuple[Any, Tuple, Tuple]]:
-    """One job's sub-tasks with their store and dedup keys precomputed."""
-    return [(task, system.sub_task_store_key(task),
+                  job: EvaluationJob) -> List[Tuple[Any, str, str, Tuple]]:
+    """One job's sub-tasks with their cache namespace, entry-key suffix
+    (:func:`~repro.engine.cache.store_key_suffix`) and dedup key
+    precomputed."""
+    return [(task, _TASK_NAMESPACE[task.kind],
+             store_key_suffix(system.sub_task_store_key(task)),
              system.sub_task_dedup_key(task))
             for task in system.enumerate_sub_tasks(
                 job.network, fused=job.fused, use_mapper=job.use_mapper)]
@@ -158,11 +160,12 @@ class Planner:
         self.representatives: Dict[Tuple[str, Tuple], str] = {}
         self.alias_keys = set()
         # (system class, network identity, fused, use_mapper) ->
-        # [(task, store key, dedup suffix), ...].  Systems declaring
-        # their task keys configuration-free (all built-ins) expand each
-        # network once per batch instead of once per job; the jobs keep
-        # their networks alive, so identity keying is stable here.
-        self.expansions: Dict[Tuple, List[Tuple[Any, Tuple, Tuple]]] = {}
+        # [(task, namespace, key suffix, dedup suffix), ...].  Systems
+        # declaring their task keys configuration-free (all built-ins)
+        # expand each network once per batch instead of once per job;
+        # the jobs keep their networks alive, so identity keying is
+        # stable here.
+        self.expansions: Dict[Tuple, List[Tuple[Any, str, str, Tuple]]] = {}
         self.systems: Dict[str, Any] = {}
         self.planned = self.deduplicated = self.cache_hits = 0
 
@@ -200,32 +203,30 @@ class Planner:
                 self.expansions[memo_key] = expansion
         else:
             expansion = _expand_tasks(system, job)
-        cache = self.cache
+        contains = self.cache.contains
         representatives = self.representatives
         alias_keys = self.alias_keys
         tasks: List[Any] = []
         aliases: List[LayerAlias] = []
-        for task, store_key, dedup_suffix in expansion:
-            self.planned += 1
-            namespace = _TASK_NAMESPACE[task.kind]
-            entry_key = store_entry_key(system_key, store_key)
+        self.planned += len(expansion)
+        duplicates = 0
+        for task, namespace, key_suffix, dedup_suffix in expansion:
+            entry_key = system_key + key_suffix
             dedup_key = (system_key, dedup_suffix)
             known = representatives.get(dedup_key)
             if known is not None:
-                self.deduplicated += 1
-                if (task.kind == "layer" and known != entry_key
+                duplicates += 1
+                if (namespace == "layers" and known != entry_key
                         and entry_key not in alias_keys
-                        and not cache.contains(namespace, entry_key)):
+                        and not contains(namespace, entry_key)):
                     # Same geometry under another name: derive after the
                     # representative is computed instead of recomputing.
                     alias_keys.add(entry_key)
-                    aliases.append(LayerAlias(
-                        representative_key=known,
-                        alias_key=entry_key,
-                        layer_name=task.layer.name))
+                    aliases.append(LayerAlias(known, entry_key,
+                                              task.layer.name))
                 continue
             representatives[dedup_key] = entry_key
-            if cache.contains(namespace, entry_key):
+            if contains(namespace, entry_key):
                 self.cache_hits += 1
                 continue
             if task.kind == "mapper" or task.use_mapper:
@@ -235,6 +236,7 @@ class Planner:
             group.tasks.append(task)
             group.clusters.append(cluster)
             tasks.append(task)
+        self.deduplicated += duplicates
         return tasks, aliases
 
     def record(self, phase1_tasks: int, batches: int) -> None:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import (Any, Dict, List, Mapping as TMapping, Optional, Sequence,
+                    Tuple)
 
 from repro.model.buckets import BucketScheme
 from repro.units import format_count, format_energy
@@ -160,19 +163,57 @@ class LayerEvaluation:
 
 @dataclass(frozen=True)
 class NetworkEvaluation:
-    """Aggregate of per-layer evaluations over a whole network."""
+    """Aggregate of per-layer evaluations over a whole network.
+
+    Nothing is cached on the (frozen) instance: every aggregate is
+    recomputed on access.  :meth:`totals` is the one walk over the
+    layers that yields energy, MACs and cycles together, so a caller
+    needing several metrics (``Record.from_evaluation``) pays for it
+    once.  ``total_energy`` is bit-identical to folding
+    ``total + energy.scaled(count)`` over the layers, key order included.
+    """
 
     name: str
     layers: Tuple[Tuple[LayerEvaluation, int], ...]
     clock_ghz: float
     peak_parallelism: int
 
+    def totals(self) -> Tuple[EnergyBreakdown, int, int]:
+        """``(total energy, total MACs, total cycles)`` in one walk.
+
+        Each key's total is the left-to-right sum, from ``0.0``, of its
+        ``value * count`` terms in layer order — exactly the arithmetic
+        of folding ``total + energy.scaled(count)`` — and keys keep
+        first-appearance order.  A layer without the key contributes
+        ``0.0``: a sum that starts at ``+0.0`` never becomes ``-0.0``,
+        so adding ``0.0`` leaves it unchanged.  The terms of each
+        distinct ``(breakdown, count)`` pair are computed once (decoded
+        networks share one breakdown per distinct layer result) and each
+        key's column is summed by ``functools.reduce``.
+        """
+        layers = self.layers
+        tokens = [(evaluation.energy, count) for evaluation, count in layers]
+        terms: Dict[Tuple[EnergyBreakdown, int], Any] = dict.fromkeys(tokens)
+        keys: Dict[EnergyKey, float] = {}
+        for energy, count in terms:
+            if count < 0:
+                raise ValueError(f"scale factor must be >= 0, got {count}")
+            keys.update(energy._entries)
+        for token in terms:
+            energy, count = token
+            get = energy._entries.get
+            terms[token] = [get(key, 0.0) * count for key in keys]
+        columns = zip(*map(terms.__getitem__, tokens))
+        return (EnergyBreakdown({key: reduce(add, column, 0.0)
+                                 for key, column in zip(keys, columns)}),
+                sum(evaluation.real_macs * count
+                    for evaluation, count in layers),
+                sum(evaluation.cycles * count
+                    for evaluation, count in layers))
+
     @property
     def total_energy(self) -> EnergyBreakdown:
-        total = EnergyBreakdown()
-        for evaluation, count in self.layers:
-            total = total + evaluation.energy.scaled(count)
-        return total
+        return self.totals()[0]
 
     @property
     def total_cycles(self) -> int:

@@ -404,3 +404,29 @@ class TestStudyOnRecord:
         assert len(seen) == 3
         assert all(record.failed for record in seen)
         assert len(results.failures) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_result_set_holds_the_streamed_record_objects(self, workers):
+        """One record per job: the result set is built from the very
+        objects streamed to ``on_record`` (failures included), in
+        lattice order, and equals an un-streamed run."""
+        from repro.engine import FailurePolicy
+
+        study = Study().systems("albireo", "crossbar") \
+            .networks("tiny", "lenet5")
+        options = dict(workers=workers,
+                       failure_policy=FailurePolicy(on_error="skip"),
+                       inject=[{"match": "crossbar:*:job",
+                                "action": "raise", "attempt": -1}])
+        seen = []
+        results = study.run(
+            on_record=lambda record, done, total: seen.append(record),
+            **options)
+        assert len(seen) == len(results) == 4
+        streamed = {id(record) for record in seen}
+        assert all(id(record) in streamed for record in results)
+        assert [record.tags for record in results] \
+            == [job.tags_dict for job in study.compile()]
+        assert [record.failed for record in results] \
+            == [False, False, True, True]
+        assert results == study.run(**options)
